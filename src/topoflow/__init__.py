@@ -6,7 +6,7 @@ topologies, run it over pluggable agent backends, synthesize the outputs
 with bounded adaptive re-routing, and account for every token spent.
 """
 
-from .accounting import CostLedger, Phase, PricingTable, RunReport, cost_of, record, topology_distribution
+from .accounting import CostLedger, Phase, PricingTable, RunReport, topology_distribution
 from .archetypes import ArchetypeKind, DagArchetype, generate_archetype
 from .backends import AgentBackend, AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from .convergence import (

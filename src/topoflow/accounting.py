@@ -117,6 +117,7 @@ class CostLedger:
         return round(self.cost_picodollars() / MICRO_PER_DOLLAR)
 
     def cost_dollars(self) -> float:
+        """Total ledger cost in dollars; raises PricingError on unpriced backends."""
         return self.cost_picodollars() / PICO_PER_DOLLAR
 
     def to_record(self) -> dict:
@@ -134,16 +135,6 @@ class CostLedger:
             "total_tokens": self.total_tokens,
             "cost_microdollars": self.cost_microdollars(),
         }
-
-
-def record(ledger: CostLedger, output: AgentOutput, phase: Phase) -> CostLedger:
-    ledger.record(output, phase)
-    return ledger
-
-
-def cost_of(ledger: CostLedger) -> float:
-    """Total ledger cost in dollars; raises PricingError on unpriced backends."""
-    return ledger.cost_dollars()
 
 
 @dataclass(frozen=True)

@@ -211,17 +211,21 @@ class HttpChatBackend(AgentBackend):
             raise BackendError(f"{self.identity}: HTTP {resp.status_code}", transient=True)
         if resp.status_code != 200:
             raise BackendError(f"{self.identity}: HTTP {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
-        if self.spec.style == "anthropic":
-            text = "".join(block.get("text", "") for block in body.get("content", []))
-            usage = body.get("usage", {})
-            prompt_tokens = int(usage.get("input_tokens", 0))
-            completion_tokens = int(usage.get("output_tokens", 0))
-        else:
-            text = body["choices"][0]["message"]["content"]
-            usage = body.get("usage", {})
-            prompt_tokens = int(usage.get("prompt_tokens", 0))
-            completion_tokens = int(usage.get("completion_tokens", 0))
+        try:
+            body = resp.json()
+            if self.spec.style == "anthropic":
+                text = "".join(block.get("text", "") for block in body.get("content", []))
+                usage = body.get("usage", {})
+                prompt_tokens = int(usage.get("input_tokens", 0))
+                completion_tokens = int(usage.get("output_tokens", 0))
+            else:
+                text = body["choices"][0]["message"]["content"]
+                usage = body.get("usage", {})
+                prompt_tokens = int(usage.get("prompt_tokens", 0))
+                completion_tokens = int(usage.get("completion_tokens", 0))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            # a 200 with a body we cannot read will not read better on retry
+            raise BackendError(f"{self.identity}: malformed response body: {exc!r}") from exc
         return AgentOutput(
             text=text,
             prompt_tokens=prompt_tokens,

@@ -134,14 +134,15 @@ def cmd_exec(args) -> int:
     decision = route(dag, config)
     traces = []
 
+    def record_execution(trace) -> None:
+        for out in [*trace.ordered_outputs(), *trace.lead.values()]:
+            ledger.record(out, Phase.EXECUTE)
+
     def execute(topology) -> tuple[list[str], object]:
         plan = make_plan(dag, topology, pool, context_budget=int(manifest.get("context_budget", 4000)))
         trace = engine.run(dag, plan)
         traces.append(trace)
-        for out in trace.ordered_outputs():
-            ledger.record(out, Phase.EXECUTE)
-        for lead_out in trace.lead.values():
-            ledger.record(lead_out, Phase.EXECUTE)
+        record_execution(trace)
         texts = [o.text for o in trace.ordered_outputs()]
         if "reconcile" in trace.lead:
             texts.append(trace.lead["reconcile"].text)
@@ -169,6 +170,7 @@ def cmd_exec(args) -> int:
             reroute=reroute,
         )
     except ExecutionFailure as exc:
+        record_execution(exc.trace)  # the calls that did complete were paid for
         runlog.write_json(os.path.join(out_dir, "trace.json"), exc.trace.to_record())
         runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
         runlog.write_jsonl(os.path.join(out_dir, "run.log.jsonl"), log_records)

@@ -10,7 +10,6 @@ the threshold router against an oracle that tries all four topologies.
 
 from __future__ import annotations
 
-import enum
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -166,10 +165,6 @@ def format_confusion_matrix(cm: ConfusionMatrix) -> str:
     return "\n".join(lines)
 
 
-class QualityModel(enum.Enum):
-    ASSUMPTION_ONE = "assumption_one"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     archetype: DagArchetype
@@ -177,7 +172,6 @@ class SimConfig:
     trials: int = 1000
     pool_size: int = 5
     seed: int = 42
-    quality_model: QualityModel = QualityModel.ASSUMPTION_ONE
 
     def __post_init__(self):
         if self.trials < 1:

@@ -1,4 +1,4 @@
-"""Topology executors: parallel, sequential, hierarchical, hybrid.
+"""One scheduler for the four topologies: parallel, sequential, hierarchical, hybrid.
 
 Agent invocations run under a bounded worker limit.  The engine supports two
 clocks: "wall" measures real time with a thread pool, "virtual" executes
@@ -17,7 +17,7 @@ from importlib import resources
 from typing import Callable, Sequence
 
 from .backends import AgentBackend, AgentOutput, BackendError
-from .dag import Subtask, TaskDag, require_valid
+from .dag import Subtask, TaskDag
 from .metrics import _topological_order, topological_layers
 from .routing import Topology, TopologyKind
 from .synthesis import Embedder, HashedEmbedder, cosine
@@ -133,7 +133,6 @@ def make_plan(
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> ExecutionPlan:
     """Build the concrete schedule for a routed topology."""
-    require_valid(dag)
     assignments = assign_agents(dag, pool)
     if topology.kind is TopologyKind.PARALLEL:
         order: tuple[tuple[str, ...], ...] = (tuple(_vertices_by_layer(dag)),)
@@ -200,110 +199,90 @@ class ExecutionEngine:
         self.retries = retries
         self.lead = lead
 
-    # -- public entry points --------------------------------------------------
-
     def run(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
+        """Run the plan's groups in order, each group's vertices concurrently.
+
+        A vertex's context is the global context (task text and plan summary)
+        followed by the relevance-ranked earlier outputs its topology lets it
+        see.  The topology also decides what a failed vertex does:
+
+        ============  =====================  ======================  ==================
+        topology      groups                 outputs a vertex sees   a failed vertex
+        ============  =====================  ======================  ==================
+        parallel      one, of all vertices   none                    raise after group
+        sequential    one per vertex         its DAG predecessors    stop and raise
+        hybrid        the routed stages      every earlier output    stop and raise
+        hierarchical  longest-path layers    every earlier output    notice to the lead
+        ============  =====================  ======================  ==================
+
+        Parallel ignores edge order and records each edge it ran out of order
+        in ``edge_violations``.  Under hierarchical the lead's assign call
+        comes before the first group and its reconcile call, with a failure
+        notice per failed vertex, after the last; a failed lead call raises
+        ``BackendError``.  "Raise" is ``ExecutionFailure`` with the partial
+        trace.
+        """
         kind = plan.topology.kind
+        hierarchical = kind is TopologyKind.HIERARCHICAL
+        trace = ExecutionTrace()
+        glob = (
+            f"{self.task_text}\n\nThis subtask is part of a plan of {len(plan.assignments)} "
+            f"subtasks executed with the {kind.value} topology in {len(plan.order)} group(s)."
+        ).strip()
+        cursor = 0.0
+        if hierarchical:
+            lead = self.lead or next(iter(plan.assignments.values()))
+            subtask_list = "\n".join(
+                f"- {v.id}: {v.description or v.id}"
+                f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
+                for v in sorted(dag.vertices, key=lambda s: s.id)
+            )
+            assign_out = self._invoke_with_retry(
+                lead, LEAD_ASSIGN_PREFIX + subtask_list, glob, tag="lead:assign"
+            )
+            trace.lead["assign"] = assign_out.with_subtask("lead:assign")
+            cursor = assign_out.latency
+        shared = kind in (TopologyKind.HYBRID, TopologyKind.HIERARCHICAL)
+        run_group = self._run_group_virtual if self.clock == "virtual" else self._run_group_wall
+        for group in plan.order:
+            earlier = [trace.outputs[v] for v in sorted(trace.outputs)] if shared else []
+            prompts = {}
+            for vid in group:
+                sub = dag.subtask(vid)
+                sources = earlier
+                if kind is TopologyKind.SEQUENTIAL:
+                    sources = [trace.outputs[p] for p in sorted(dag.predecessors(vid)) if p in trace.outputs]
+                merged = merge_context(sources, sub, plan.context_budget, self.relevance)
+                prompts[vid] = (sub.description or sub.id, f"{glob}\n\n{merged}".strip() if merged else glob)
+            if prompts:
+                group_end = run_group(trace, plan, prompts, cursor)
+                trace.group_timings.append(group_end - cursor)
+                cursor = group_end
+            if trace.failures and not hierarchical:
+                break
+        if hierarchical:
+            sections = [
+                f"## {vid}\n{trace.outputs[vid].text}"
+                if vid in trace.outputs
+                else f"## {vid}\nFAILURE NOTICE: {trace.failures.get(vid, 'no output')}"
+                for vid in sorted(dag.vertex_ids)
+            ]
+            reconcile_out = self._invoke_with_retry(
+                lead, LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "", tag="lead:reconcile"
+            )
+            trace.lead["reconcile"] = reconcile_out.with_subtask("lead:reconcile")
+            cursor += reconcile_out.latency
+        trace.wall_clock = cursor
         if kind is TopologyKind.PARALLEL:
-            return self.run_parallel(dag, plan)
-        if kind is TopologyKind.SEQUENTIAL:
-            return self.run_sequential(dag, plan)
-        if kind is TopologyKind.HIERARCHICAL:
-            return self.run_hierarchical(dag, plan)
-        return self.run_hybrid(dag, plan)
-
-    def run_parallel(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
-        """All vertices concurrent with global context only; edge ordering is
-        not enforced, but violations are recorded for audit."""
-        trace = ExecutionTrace()
-        group = plan.order[0] if plan.order else ()
-        glob = self._global_context(plan)
-        cursor = self._run_group(dag, trace, plan, group, {vid: glob for vid in group}, 0.0)
-        trace.wall_clock = cursor
-        self._audit_edges(dag, trace)
-        self._raise_if_failed(trace)
-        return trace
-
-    def run_sequential(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
-        """Topological order, one at a time, each seeing the accumulated
-        outputs of its DAG predecessors."""
-        trace = ExecutionTrace()
-        cursor = 0.0
-        for group in plan.order:
-            (vid,) = group
-            preds = [trace.outputs[p] for p in sorted(dag.predecessors(vid)) if p in trace.outputs]
-            ctx = self._merged_context(dag, plan, vid, preds)
-            cursor = self._run_group(dag, trace, plan, group, {vid: ctx}, cursor)
-            if trace.failures:
-                break
-        trace.wall_clock = cursor
-        self._raise_if_failed(trace)
-        return trace
-
-    def run_hybrid(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
-        """Stages in order; inside a stage all vertices run concurrently and
-        see the outputs of every vertex in all earlier stages."""
-        trace = ExecutionTrace()
-        cursor = 0.0
-        for group in plan.order:
-            earlier = [trace.outputs[v] for v in sorted(trace.outputs)]
-            contexts = {vid: self._merged_context(dag, plan, vid, earlier) for vid in group}
-            cursor = self._run_group(dag, trace, plan, group, contexts, cursor)
-            if trace.failures:
-                break
-        trace.wall_clock = cursor
-        self._raise_if_failed(trace)
-        return trace
-
-    def run_hierarchical(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
-        """Lead assigns, sub-agents execute per DAG order, lead reconciles.
-        Sub-agent failures become failure notices in the reconcile call;
-        a lead failure is fatal."""
-        lead = self.lead or next(iter(plan.assignments.values()))
-        trace = ExecutionTrace()
-        subtask_list = "\n".join(
-            f"- {v.id}: {v.description or v.id}"
-            f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
-            for v in sorted(dag.vertices, key=lambda s: s.id)
-        )
-        assign_out = self._invoke_with_retry(
-            lead, LEAD_ASSIGN_PREFIX + subtask_list, self._global_context(plan), tag="lead:assign"
-        )
-        trace.lead["assign"] = assign_out.with_subtask("lead:assign")
-        cursor = assign_out.latency
-        for group in plan.order:
-            earlier = [trace.outputs[v] for v in sorted(trace.outputs)]
-            contexts = {vid: self._merged_context(dag, plan, vid, earlier) for vid in group}
-            cursor = self._run_group(dag, trace, plan, group, contexts, cursor)
-        sections = []
-        for vid in sorted(dag.vertex_ids):
-            if vid in trace.outputs:
-                sections.append(f"## {vid}\n{trace.outputs[vid].text}")
-            else:
-                sections.append(f"## {vid}\nFAILURE NOTICE: {trace.failures.get(vid, 'no output')}")
-        reconcile_out = self._invoke_with_retry(
-            lead, LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "", tag="lead:reconcile"
-        )
-        trace.lead["reconcile"] = reconcile_out.with_subtask("lead:reconcile")
-        trace.wall_clock = cursor + reconcile_out.latency
+            for u, v in dag.edges:
+                tu, tv = trace.timings.get(u), trace.timings.get(v)
+                if tu is not None and tv is not None and tv.start < tu.finish:
+                    trace.edge_violations.append((u, v))
+        if trace.failures and not hierarchical:
+            raise ExecutionFailure(dict(trace.failures), trace)
         return trace
 
     # -- internals --------------------------------------------------------------
-
-    def _global_context(self, plan: ExecutionPlan) -> str:
-        summary = (
-            f"This subtask is part of a plan of {len(plan.assignments)} subtasks "
-            f"executed with the {plan.topology.kind.value} topology in "
-            f"{len(plan.order)} group(s)."
-        )
-        return f"{self.task_text}\n\n{summary}".strip()
-
-    def _merged_context(
-        self, dag: TaskDag, plan: ExecutionPlan, vid: str, sources: list[AgentOutput]
-    ) -> str:
-        merged = merge_context(sources, dag.subtask(vid), plan.context_budget, self.relevance)
-        glob = self._global_context(plan)
-        return f"{glob}\n\n{merged}".strip() if merged else glob
 
     def _invoke_with_retry(
         self, backend: AgentBackend, instruction: str, context: str, *, tag: str
@@ -326,38 +305,26 @@ class ExecutionEngine:
                     time.sleep(delay)
         raise AssertionError("unreachable")
 
-    def _run_group(
-        self,
-        dag: TaskDag,
-        trace: ExecutionTrace,
-        plan: ExecutionPlan,
-        group: tuple[str, ...],
-        contexts: dict[str, str],
-        group_start: float,
-    ) -> float:
-        """Execute one concurrent group; failures are recorded, not raised.
-        Returns the group's end time on the engine clock."""
-        if not group:
-            return group_start
-        if self.clock == "virtual":
-            group_end = self._run_group_virtual(dag, trace, plan, group, contexts, group_start)
-        else:
-            group_end = self._run_group_wall(dag, trace, plan, group, contexts, group_start)
-        trace.group_timings.append(group_end - group_start)
-        return group_end
+    def _call(self, plan: ExecutionPlan, vid: str, prompt: tuple[str, str]) -> AgentOutput:
+        instruction, context = prompt
+        return self._invoke_with_retry(
+            plan.assignments[vid], instruction, context, tag=vid
+        ).with_subtask(vid)
 
-    def _run_group_virtual(self, dag, trace, plan, group, contexts, group_start) -> float:
+    # A group runner executes ``prompts`` (vid -> (instruction, context))
+    # concurrently, records outputs and failures in ``trace`` without
+    # raising, and returns the group's end time on the engine clock.
+
+    def _run_group_virtual(self, trace, plan, prompts, group_start) -> float:
         # invocations execute in schedule order; the makespan is simulated
         # over `concurrency_limit` workers using backend-reported latencies
-        workers = [group_start] * min(self.concurrency_limit, len(group))
+        workers = [group_start] * min(self.concurrency_limit, len(prompts))
         heapq.heapify(workers)
         group_end = group_start
-        for vid in group:
+        for vid, prompt in prompts.items():
             start = heapq.heappop(workers)
             try:
-                out = self._invoke_with_retry(
-                    plan.assignments[vid], self._instruction(dag, vid), contexts[vid], tag=vid
-                ).with_subtask(vid)
+                out = self._call(plan, vid, prompt)
                 trace.outputs[vid] = out
                 finish = start + out.latency
                 trace.timings[vid] = VertexTiming(start=start, finish=finish)
@@ -368,40 +335,23 @@ class ExecutionEngine:
             group_end = max(group_end, finish)
         return group_end
 
-    def _run_group_wall(self, dag, trace, plan, group, contexts, group_start) -> float:
+    def _run_group_wall(self, trace, plan, prompts, group_start) -> float:
         t0 = time.monotonic()
 
         def work(vid: str):
             s = time.monotonic() - t0 + group_start
-            out = self._invoke_with_retry(
-                plan.assignments[vid], self._instruction(dag, vid), contexts[vid], tag=vid
-            ).with_subtask(vid)
-            f = time.monotonic() - t0 + group_start
-            return vid, out, s, f
+            out = self._call(plan, vid, prompts[vid])
+            return out, s, time.monotonic() - t0 + group_start
 
         group_end = group_start
         with ThreadPoolExecutor(max_workers=self.concurrency_limit) as pool:
-            futures = {pool.submit(work, vid): vid for vid in group}
+            futures = {pool.submit(work, vid): vid for vid in prompts}
             for fut, vid in futures.items():
                 try:
-                    rvid, out, s, f = fut.result()
-                    trace.outputs[rvid] = out
-                    trace.timings[rvid] = VertexTiming(start=s, finish=f)
+                    out, s, f = fut.result()
+                    trace.outputs[vid] = out
+                    trace.timings[vid] = VertexTiming(start=s, finish=f)
                     group_end = max(group_end, f)
                 except BackendError as exc:
                     trace.failures[vid] = str(exc)
         return max(group_end, group_start + (time.monotonic() - t0))
-
-    def _instruction(self, dag: TaskDag, vid: str) -> str:
-        sub = dag.subtask(vid)
-        return sub.description or sub.id
-
-    def _audit_edges(self, dag: TaskDag, trace: ExecutionTrace) -> None:
-        for u, v in dag.edges:
-            tu, tv = trace.timings.get(u), trace.timings.get(v)
-            if tu is not None and tv is not None and tv.start < tu.finish:
-                trace.edge_violations.append((u, v))
-
-    def _raise_if_failed(self, trace: ExecutionTrace) -> None:
-        if trace.failures:
-            raise ExecutionFailure(dict(trace.failures), trace)

@@ -7,7 +7,6 @@ from topoflow.accounting import (
     PricingError,
     PricingTable,
     RunReport,
-    cost_of,
     format_distribution,
     topology_distribution,
 )
@@ -50,12 +49,12 @@ class TestCostLedger:
         ledger = CostLedger()
         ledger.record(out("openai:gpt-4o-mini", 1_000_000, 0), Phase.EXECUTE)
         assert ledger.cost_microdollars() == 150_000
-        assert cost_of(ledger) == pytest.approx(0.15)
+        assert ledger.cost_dollars() == pytest.approx(0.15)
 
         ledger2 = CostLedger()
         ledger2.record(out("anthropic:claude-3.5-haiku", 0, 1_000_000), Phase.SYNTHESIZE)
         assert ledger2.cost_microdollars() == 4_000_000
-        assert cost_of(ledger2) == pytest.approx(4.0)
+        assert ledger2.cost_dollars() == pytest.approx(4.0)
 
     def test_counts_pass_through_untouched(self):
         ledger = CostLedger()
@@ -81,7 +80,7 @@ class TestCostLedger:
         ledger = CostLedger()
         ledger.record(out("alien:model-x", 10, 10), Phase.EXECUTE)
         with pytest.raises(PricingError):
-            cost_of(ledger)
+            ledger.cost_dollars()
 
     def test_record_shape(self):
         ledger = CostLedger()

@@ -111,6 +111,27 @@ class TestExec:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
+    def test_exec_failure_ledger_keeps_paid_calls(self, tmp_path, capsys):
+        chain = [
+            {"id": f"v{i}", "description": f"step {i}", "depends_on": [f"v{i - 1}"] if i else [],
+             "coupling": "strong"}
+            for i in range(3)
+        ]
+        (tmp_path / "chain.json").write_text(json.dumps(chain))
+        fixture = {"v1": {"fail": True}, "default": {"text": "done", "prompt_tokens": 11, "completion_tokens": 4}}
+        (tmp_path / "fixture.json").write_text(json.dumps(fixture))
+        manifest = write_manifest(
+            tmp_path, dag=str(tmp_path / "chain.json"), backend=f"scripted:{tmp_path / 'fixture.json'}"
+        )
+        assert main(["exec", manifest]) == 4
+        trace = json.loads((tmp_path / "out" / "trace.json").read_text())
+        ledger = json.loads((tmp_path / "out" / "ledger.json").read_text())
+        assert sorted(trace["outputs"]) == ["v0"]
+        assert [(e["prompt_tokens"], e["completion_tokens"], e["phase"]) for e in ledger["entries"]] == [
+            (11, 4, "execute")
+        ]
+        assert ledger["total_tokens"] == 15
+
 class TestRatio:
     def test_reference_value(self, capsys):
         rc = main(["ratio", "--omega", "3.4", "--gamma", "0.35", "--k", "5", "--eps", "0.05"])

@@ -1,6 +1,9 @@
+import hashlib
+import json
+
 import pytest
 
-from topoflow.backends import AgentOutput, BackendError, MockBackend, ScriptedBackend
+from topoflow.backends import AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from topoflow.dag import Subtask
 from topoflow.execution import (
     ExecutionEngine,
@@ -57,6 +60,52 @@ class TestBackends:
         with pytest.raises(BackendError) as ei:
             b.invoke("i", "c", tag="v0")
         assert not ei.value.transient
+
+
+class FakeResponse:
+    def __init__(self, status_code, body):
+        self.status_code = status_code
+        self.text = body if isinstance(body, str) else json.dumps(body)
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class FakeSession:
+    def __init__(self, response):
+        self.response = response
+
+    def post(self, url, **kwargs):
+        return self.response
+
+
+class TestHttpChatBackend:
+    @pytest.fixture(autouse=True)
+    def api_key(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+
+    def backend(self, status_code, body):
+        return HttpChatBackend("openai", "gpt-4o-mini", session=FakeSession(FakeResponse(status_code, body)))
+
+    def test_reads_choices_and_usage(self):
+        body = {
+            "choices": [{"message": {"content": "hello"}}],
+            "usage": {"prompt_tokens": 7, "completion_tokens": 2},
+        }
+        result = self.backend(200, body).invoke("do x", "")
+        assert (result.text, result.prompt_tokens, result.completion_tokens) == ("hello", 7, 2)
+        assert result.backend == "openai:gpt-4o-mini"
+
+    @pytest.mark.parametrize("body", [{"error": "no choices"}, {"choices": []}, "<html>bad gateway</html>"])
+    def test_malformed_body_is_permanent_backend_error(self, body):
+        with pytest.raises(BackendError) as ei:
+            self.backend(200, body).invoke("do x", "")
+        assert not ei.value.transient
+
+    def test_rate_limit_is_transient(self):
+        with pytest.raises(BackendError) as ei:
+            self.backend(429, "slow down").invoke("do x", "")
+        assert ei.value.transient
 
 
 class TestAssignAgents:
@@ -294,3 +343,48 @@ class TestTraceRecord:
             "outputs", "lead", "wall_clock", "group_timings", "edge_violations", "failures",
         }
         assert set(rec["outputs"]) == {"v0", "v1", "v2", "v3"}
+
+
+class FailOn(MockBackend):
+    def __init__(self, name, fail_tag):
+        super().__init__(name)
+        self.fail_tag = fail_tag
+
+    def invoke(self, instruction, context, *, tag=None):
+        if tag == self.fail_tag:
+            raise BackendError(f"injected failure for {tag}")
+        return super().invoke(instruction, context, tag=tag)
+
+
+# sha256 of the sorted-key JSON trace record per case, recorded before the four
+# topology executors became one scheduler.  Mock output text hashes the
+# instruction and context, so these pin every context string, the schedule,
+# the virtual timings and the failure handling.
+SCHEDULE_DIGESTS = {
+    "parallel": "278e26812d3c4508d05f59fe129b9fadbd83a59ce3d8174fad425127b822f86c",
+    "sequential": "261e30046f17f32cbd06a7e63da1f7f3e7a27609ab444ab73f6d91a41b28baaf",
+    "hybrid": "3057622bec6a8217377bc4c6480a06890f08b3963834a68f20b9269c3038a950",
+    "hierarchical": "2db3b9460edabb0d932ab1b2b7b6518e7a9c6d534003e183e7866fec0f9ad0f6",
+    "parallel-fail-v2": "4fdd9edde8a8b1905d7630e91fa25b64f216998381e149004846ae978ae19fb0",
+    "sequential-fail-v2": "f1f517b19d2aaf4fb43f5f5e73b3e3c37a432797f58a1879885d3aa54f7a9489",
+    "hybrid-fail-v2": "09b136597861d0892842583943fca8cc49d804c3bebe9f68016b88845507b6b7",
+    "hierarchical-fail-v2": "9a18f7f942069be33d344f840b16af0429ccd28fc6d86073c8e0b702b033223e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_DIGESTS))
+def test_schedule_pinned(case, diamond):
+    kind, _, fail = case.partition("-fail-")
+    topology = route(diamond).topology if kind == "hybrid" else Topology(TopologyKind(kind))
+    pool = [FailOn("m0", fail) if fail else MockBackend("m0"), MockBackend("m1")]
+    plan = make_plan(diamond, topology, pool)
+    engine = ExecutionEngine(clock="virtual", task_text="pin the schedule")
+    if fail and kind != "hierarchical":
+        with pytest.raises(ExecutionFailure) as ei:
+            engine.run(diamond, plan)
+        trace = ei.value.trace
+    else:
+        trace = engine.run(diamond, plan)
+    assert bool(trace.failures) == bool(fail)
+    record = json.dumps(trace.to_record(), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == SCHEDULE_DIGESTS[case]
