@@ -177,6 +177,7 @@ def cmd_exec(args) -> int:
         print(f"execute: failed vertices {sorted(exc.failed)}", file=sys.stderr)
         return EXIT_BACKEND
     except SynthesisError as exc:
+        runlog.write_json(os.path.join(out_dir, "trace.json"), traces[-1].to_record())
         runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
         runlog.write_jsonl(os.path.join(out_dir, "run.log.jsonl"), log_records)
         print(f"synthesize: {exc}", file=sys.stderr)

@@ -219,8 +219,8 @@ class ExecutionEngine:
         in ``edge_violations``.  Under hierarchical the lead's assign call
         comes before the first group and its reconcile call, with a failure
         notice per failed vertex, after the last; a failed lead call raises
-        ``BackendError``.  "Raise" is ``ExecutionFailure`` with the partial
-        trace.
+        at once, with its tag (``lead:assign`` or ``lead:reconcile``) among
+        the failures.  "Raise" is ``ExecutionFailure`` with the partial trace.
         """
         kind = plan.topology.kind
         hierarchical = kind is TopologyKind.HIERARCHICAL
@@ -237,11 +237,9 @@ class ExecutionEngine:
                 f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
                 for v in sorted(dag.vertices, key=lambda s: s.id)
             )
-            assign_out = self._invoke_with_retry(
-                lead, LEAD_ASSIGN_PREFIX + subtask_list, glob, tag="lead:assign"
+            cursor = self._lead_call(
+                trace, lead, "assign", LEAD_ASSIGN_PREFIX + subtask_list, glob, cursor
             )
-            trace.lead["assign"] = assign_out.with_subtask("lead:assign")
-            cursor = assign_out.latency
         shared = kind in (TopologyKind.HYBRID, TopologyKind.HIERARCHICAL)
         run_group = self._run_group_virtual if self.clock == "virtual" else self._run_group_wall
         for group in plan.order:
@@ -267,11 +265,9 @@ class ExecutionEngine:
                 else f"## {vid}\nFAILURE NOTICE: {trace.failures.get(vid, 'no output')}"
                 for vid in sorted(dag.vertex_ids)
             ]
-            reconcile_out = self._invoke_with_retry(
-                lead, LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "", tag="lead:reconcile"
+            cursor = self._lead_call(
+                trace, lead, "reconcile", LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "", cursor
             )
-            trace.lead["reconcile"] = reconcile_out.with_subtask("lead:reconcile")
-            cursor += reconcile_out.latency
         trace.wall_clock = cursor
         if kind is TopologyKind.PARALLEL:
             for u, v in dag.edges:
@@ -304,6 +300,21 @@ class ExecutionEngine:
                 if self.clock == "wall":
                     time.sleep(delay)
         raise AssertionError("unreachable")
+
+    def _lead_call(
+        self, trace: ExecutionTrace, lead: AgentBackend, phase: str, instruction: str,
+        context: str, cursor: float,
+    ) -> float:
+        """One lead call, recorded in ``trace``; returns the clock after it."""
+        tag = f"lead:{phase}"
+        try:
+            out = self._invoke_with_retry(lead, instruction, context, tag=tag)
+        except BackendError as exc:
+            trace.failures[tag] = str(exc)
+            trace.wall_clock = cursor
+            raise ExecutionFailure(dict(trace.failures), trace) from exc
+        trace.lead[phase] = out.with_subtask(tag)
+        return cursor + out.latency
 
     def _call(self, plan: ExecutionPlan, vid: str, prompt: tuple[str, str]) -> AgentOutput:
         instruction, context = prompt

@@ -1,18 +1,34 @@
 """Structural DAG metrics: parallelism width, critical-path depth, coupling density.
 
-Width comes in two flavours.  The approximate width is the maximum layer size
-under longest-path (Mirsky) layering and runs in O(|V| + |E|).  The exact
-width is the maximum antichain, computed by Dilworth's theorem as
-|V| minus a maximum bipartite matching on the transitive closure.
+Every metric comes from one topological order (Kahn's algorithm).  A
+vertex's layer is its longest-path depth (Mirsky layering), and each layer
+is an antichain.  The approximate width is the largest layer, in
+O(|V| + |E|).
+
+The exact width is the maximum antichain.  By Dilworth's theorem it is |V|
+minus a maximum matching in the bipartite graph that joins each vertex u to
+every vertex reachable from u (the transitive closure).  ``width_exact``
+brackets it first:
+
+* the largest layer is an antichain, so its size L is a lower bound;
+* a greedy path cover along DAG edges, taken in topological order, is a
+  matching on the closure, so |V| minus its size is an upper bound.
+
+When the two meet, as on chains, stars and diamonds, that is the answer, in
+O(|V| + |E|).  Otherwise the closure is built as Python-int bitsets in
+reverse topological order, and the greedy matching grows by augmenting-path
+searches (iterative, so depth is not bounded by the recursion limit) until
+it is maximum or |V| minus its size reaches L.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .dag import TaskDag, require_valid
+from .dag import TaskDag, ValidationError, require_valid, validate_dag
 
 
 class WidthMode(enum.Enum):
@@ -30,36 +46,26 @@ class DagMetrics:
     vertex_count: int
     edge_count: int
     width_mode: WidthMode = WidthMode.EXACT
+    layers: tuple[frozenset[str], ...] = ()  # longest-path layers, sources first
 
     @property
     def width(self) -> int:
         return self.width_exact
 
 
-def topological_layers(dag: TaskDag) -> list[set[str]]:
-    """Partition vertices into antichain layers by longest-path depth.
+class _TopoIndex(NamedTuple):
+    """A DAG indexed by position in one topological order."""
 
-    Layer of v = 1 + max layer over predecessors; sources sit in layer 1.
-    Every edge crosses strictly forward, so each layer is an antichain.
-    """
-    require_valid(dag)
-    order = _topological_order(dag)
-    level: dict[str, int] = {}
-    preds: dict[str, list[str]] = {v.id: [] for v in dag.vertices}
-    for u, v in dag.edges:
-        preds[v].append(u)
-    for vid in order:
-        level[vid] = 1 + max((level[p] for p in preds[vid]), default=0)
-    if not level:
-        return []
-    layers: list[set[str]] = [set() for _ in range(max(level.values()))]
-    for vid, lv in level.items():
-        layers[lv - 1].add(vid)
-    return layers
+    ids: list[str]  # vertex ids in topological order
+    succ: list[list[int]]  # successors of each position, as positions
+    level: list[int]  # longest-path layer of each position; sources are 1
 
 
 def _topological_order(dag: TaskDag) -> list[str]:
-    """Kahn's algorithm with sorted tie-breaking for determinism."""
+    """Kahn's algorithm with sorted tie-breaking for determinism.
+
+    Raises :class:`ValidationError` when a cycle leaves vertices unordered.
+    """
     indeg = {v.id: 0 for v in dag.vertices}
     adj = dag.adjacency()
     for u, v in dag.edges:
@@ -73,108 +79,143 @@ def _topological_order(dag: TaskDag) -> list[str]:
             indeg[nxt] -= 1
             if indeg[nxt] == 0:
                 ready.append(nxt)
+    if len(order) < dag.vertex_count:
+        raise ValidationError(validate_dag(dag))
     return order
 
 
-def critical_path_depth(dag: TaskDag) -> float:
-    """Maximum over directed paths of summed vertex weights (longest-path DP)."""
-    weights = {v.id: v.weight for v in dag.vertices}
-    preds: dict[str, list[str]] = {v.id: [] for v in dag.vertices}
+def _index(dag: TaskDag) -> _TopoIndex:
+    """Order the DAG once and index it by position in that order."""
+    ids = _topological_order(dag)
+    pos = {vid: i for i, vid in enumerate(ids)}
+    succ: list[list[int]] = [[] for _ in ids]
     for u, v in dag.edges:
-        preds[v].append(u)
-    best: dict[str, float] = {}
-    for vid in _topological_order(dag):
-        best[vid] = weights[vid] + max((best[p] for p in preds[vid]), default=0.0)
-    return max(best.values(), default=0.0)
+        succ[pos[u]].append(pos[v])
+    level = [1] * len(ids)
+    for i, out in enumerate(succ):
+        for j in out:
+            if level[j] <= level[i]:
+                level[j] = level[i] + 1
+    return _TopoIndex(ids, succ, level)
 
 
-def transitive_closure(dag: TaskDag) -> dict[str, set[str]]:
-    """reach[u] = all vertices strictly reachable from u (per-vertex DFS)."""
-    adj = dag.adjacency()
-    reach: dict[str, set[str]] = {}
-    for start in adj:
-        seen: set[str] = set()
-        stack = list(adj[start])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adj[node])
-        reach[start] = seen
-    return reach
+def _layers(index: _TopoIndex) -> list[set[str]]:
+    layers: list[set[str]] = [set() for _ in range(max(index.level, default=0))]
+    for vid, lv in zip(index.ids, index.level):
+        layers[lv - 1].add(vid)
+    return layers
 
 
-def hopcroft_karp(graph: dict[str, list[str]], right: set[str]) -> int:
-    """Size of a maximum matching in a bipartite graph (left -> right lists)."""
-    INF = float("inf")
-    match_l: dict[str, str | None] = {u: None for u in graph}
-    match_r: dict[str, str | None] = {v: None for v in right}
-    dist: dict[str, float] = {}
+def topological_layers(dag: TaskDag) -> list[set[str]]:
+    """Partition vertices into antichain layers by longest-path depth.
 
-    def bfs() -> bool:
-        q: deque[str] = deque()
-        for u in graph:
-            if match_l[u] is None:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while q:
-            u = q.popleft()
-            for v in graph[u]:
-                w = match_r[v]
-                if w is None:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
-
-    def dfs(u: str) -> bool:
-        for v in graph[u]:
-            w = match_r[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
-
-    matching = 0
-    while bfs():
-        for u in graph:
-            if match_l[u] is None and dfs(u):
-                matching += 1
-    return matching
+    Layer of v = 1 + max layer over predecessors; sources sit in layer 1.
+    Every edge crosses strictly forward, so each layer is an antichain.
+    """
+    require_valid(dag)
+    return _layers(_index(dag))
 
 
-def width_exact(dag: TaskDag) -> int:
-    """Maximum antichain size via Dilworth: |V| - matching on the closure."""
-    if not dag.vertices:
+def critical_path_depth(dag: TaskDag, index: _TopoIndex | None = None) -> float:
+    """Maximum over directed paths of summed vertex weights (longest-path DP).
+
+    ``index`` is the DAG's index when the caller has already built it.
+    """
+    index = _index(dag) if index is None else index
+    weights = {v.id: v.weight for v in dag.vertices}
+    before = [0.0] * len(index.ids)  # heaviest path ending at a predecessor
+    best = 0.0
+    for i, vid in enumerate(index.ids):
+        total = weights[vid] + before[i]
+        best = max(best, total)
+        for j in index.succ[i]:
+            if before[j] < total:
+                before[j] = total
+    return best
+
+
+def width_exact(dag: TaskDag, index: _TopoIndex | None = None) -> int:
+    """Maximum antichain size via Dilworth: |V| - maximum matching on the closure.
+
+    ``index`` is the DAG's index when the caller has already built it.
+    """
+    index = _index(dag) if index is None else index
+    n = len(index.ids)
+    if n == 0:
         return 0
-    reach = transitive_closure(dag)
-    graph = {u: sorted(vs) for u, vs in reach.items()}
-    right = {v.id for v in dag.vertices}
-    return dag.vertex_count - hopcroft_karp(graph, right)
+    lower = max(Counter(index.level).values())
+    # greedy path cover: each vertex extends its path to the first successor
+    # that no path has entered yet; match_l[u] = v pairs u with a later v
+    match_l = [-1] * n
+    match_r = [-1] * n
+    matched = 0
+    for u, out in enumerate(index.succ):
+        for v in out:
+            if match_r[v] < 0:
+                match_l[u], match_r[v] = v, u
+                matched += 1
+                break
+    if n - matched == lower:
+        return lower
+
+    # bit v of reach[u] is set when position v is reachable from u
+    reach = [0] * n
+    for u in range(n - 1, -1, -1):
+        r = 0
+        for v in index.succ[u]:
+            r |= reach[v] | (1 << v)
+        reach[u] = r
+
+    # Kuhn's algorithm, one search per unmatched vertex, with an explicit
+    # stack of alternating paths.  A vertex with no augmenting path never
+    # gains one as others augment, so one pass is enough; and a right vertex
+    # seen by a failed search cannot lie on an augmenting path until the
+    # matching changes, so `seen` is cleared only after an augmentation.
+    seen = 0
+    for root in range(n):
+        if n - matched == lower:
+            break
+        if match_l[root] >= 0:
+            continue
+        lefts, rights = [root], []
+        while lefts:
+            cand = reach[lefts[-1]] & ~seen
+            if not cand:
+                lefts.pop()
+                if rights:
+                    rights.pop()
+                continue
+            bit = cand & -cand
+            seen |= bit
+            v = bit.bit_length() - 1
+            rights.append(v)
+            if match_r[v] < 0:
+                for u, w in zip(lefts, rights):
+                    match_l[u], match_r[w] = w, u
+                matched += 1
+                seen = 0
+                break
+            lefts.append(match_r[v])
+    return n - matched
 
 
 def compute_metrics(dag: TaskDag, mode: WidthMode = WidthMode.EXACT) -> DagMetrics:
     """Compute all structural metrics; exact width only when mode is EXACT.
 
-    Coupling density over zero edges is defined as 0.0 (no coupling).
-    In APPROXIMATE mode ``width_exact`` is reported equal to the layer-width
-    approximation and flagged via ``width_mode``.
+    The DAG is validated once and ordered once; layers, depth and width all
+    come from that order.  Coupling density over zero edges is defined as 0.0
+    (no coupling).  In APPROXIMATE mode ``width_exact`` is reported equal to
+    the layer-width approximation and flagged via ``width_mode``.
     """
     require_valid(dag)
-    layers = topological_layers(dag)
+    index = _index(dag)
+    layers = _layers(index)
     w_approx = max((len(layer) for layer in layers), default=0)
     if mode is WidthMode.EXACT:
-        w_exact = width_exact(dag)
+        w_exact = width_exact(dag, index)
     else:
         w_exact = w_approx
-    depth = critical_path_depth(dag)
+    depth = critical_path_depth(dag, index)
     density = (
         sum(dag.coupling[e] for e in dag.edges) / dag.edge_count
         if dag.edge_count
@@ -190,4 +231,5 @@ def compute_metrics(dag: TaskDag, mode: WidthMode = WidthMode.EXACT) -> DagMetri
         vertex_count=dag.vertex_count,
         edge_count=dag.edge_count,
         width_mode=mode,
+        layers=tuple(frozenset(layer) for layer in layers),
     )

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .dag import TaskDag
-from .metrics import DagMetrics, WidthMode, compute_metrics, topological_layers
+from .metrics import DagMetrics, WidthMode, compute_metrics
 
 DEFAULT_THETA_OMEGA = 0.5
 DEFAULT_THETA_GAMMA = 0.6
@@ -150,8 +150,7 @@ def route(
     elif r > config.theta_omega and gamma <= config.theta_gamma:
         topology, rule = Topology(TopologyKind.PARALLEL), FiredRule.WIDE_LOW_COUPLING
     else:
-        stages = tuple(frozenset(s) for s in topological_layers(dag))
-        topology, rule = Topology(TopologyKind.HYBRID, stages=stages), FiredRule.HYBRID_DEFAULT
+        topology, rule = Topology(TopologyKind.HYBRID, stages=metrics.layers), FiredRule.HYBRID_DEFAULT
 
     elapsed = time.perf_counter() - start
     return RoutingDecision(

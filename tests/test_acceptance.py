@@ -220,6 +220,17 @@ def test_criterion_7_routing_latency():
     verdict(7, ok, f"|V|=1000 |E|={dag.edge_count}, median {median_ms:.2f} ms (< 50 ms)")
 
 
+def test_exact_width_chain_latency():
+    # beside criterion 7: exact width stays near-linear where the bounds meet
+    dag = generate_archetype(DagArchetype(ArchetypeKind.CHAIN, 3000, seed=7))
+    t0 = time.perf_counter()
+    m = compute_metrics(dag, mode=WidthMode.EXACT)
+    elapsed = time.perf_counter() - t0
+    ok = m.width_exact == 1 and elapsed < 1.0
+    print(f"\nexact width, 3000-vertex chain: {m.width_exact} in {elapsed * 1000:.1f} ms (< 1000 ms)")
+    assert ok, f"exact width of a 3000-vertex chain: {m.width_exact} in {elapsed:.2f}s"
+
+
 # -- 8: cost accounting exact to the micro-dollar ------------------------------
 
 def test_criterion_8_cost_exactness():

@@ -132,6 +132,50 @@ class TestExec:
         ]
         assert ledger["total_tokens"] == 15
 
+    def test_exec_lead_failure_keeps_artifacts(self, tmp_path, capsys):
+        # 8 strongly coupled vertices route hierarchical; the lead's
+        # reconcile call fails after assign and all 8 sub-agent calls
+        dag = [{"id": "v0", "description": "plan", "depends_on": [], "coupling": "strong"}]
+        dag += [
+            {"id": f"v{i}", "description": f"part {i}", "depends_on": ["v0"], "coupling": "strong"}
+            for i in range(1, 7)
+        ]
+        dag.append({"id": "v7", "description": "join", "depends_on": [f"v{i}" for i in range(1, 7)],
+                    "coupling": "strong"})
+        (tmp_path / "dag.json").write_text(json.dumps(dag))
+        fixture = {"lead:reconcile": {"fail": True},
+                   "default": {"text": "done", "prompt_tokens": 11, "completion_tokens": 4}}
+        (tmp_path / "fixture.json").write_text(json.dumps(fixture))
+        manifest = write_manifest(
+            tmp_path, dag=str(tmp_path / "dag.json"), backend=f"scripted:{tmp_path / 'fixture.json'}"
+        )
+        assert main(["exec", manifest]) == 4
+        out = tmp_path / "out"
+        trace = json.loads((out / "trace.json").read_text())
+        ledger = json.loads((out / "ledger.json").read_text())
+        records, _ = read_jsonl(str(out / "run.log.jsonl"))
+        assert records[0]["topology"] == "hierarchical"
+        assert sorted(trace["outputs"]) == [f"v{i}" for i in range(8)]
+        assert list(trace["lead"]) == ["assign"]
+        assert list(trace["failures"]) == ["lead:reconcile"]
+        assert len(ledger["entries"]) == 9 and ledger["total_tokens"] == 9 * 15
+        assert not (out / "report.json").exists()
+
+    def test_exec_synthesis_failure_writes_trace(self, tmp_path, capsys):
+        fixture = json.loads(
+            open(os.path.join(FIXTURES, "scripted.json"), encoding="utf-8").read()
+        )
+        fixture["arbiter"] = {"fail": True}
+        (tmp_path / "fixture.json").write_text(json.dumps(fixture))
+        manifest = write_manifest(tmp_path, backend=f"scripted:{tmp_path / 'fixture.json'}")
+        assert main(["exec", manifest]) == 4
+        out = tmp_path / "out"
+        for name in ("trace.json", "ledger.json", "run.log.jsonl"):
+            assert (out / name).exists()
+        trace = json.loads((out / "trace.json").read_text())
+        assert sorted(trace["outputs"]) == ["v0", "v1", "v2", "v3"]
+        assert not (out / "report.json").exists()
+
 class TestRatio:
     def test_reference_value(self, capsys):
         rc = main(["ratio", "--omega", "3.4", "--gamma", "0.35", "--k", "5", "--eps", "0.05"])

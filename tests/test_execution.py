@@ -308,8 +308,23 @@ class TestHierarchical:
     def test_lead_failure_is_fatal(self, diamond):
         lead = ScriptedBackend({"lead:assign": {"fail": True}})
         plan = make_plan(diamond, HIERARCHICAL, [MockBackend()])
-        with pytest.raises(BackendError):
+        with pytest.raises(ExecutionFailure) as info:
             ExecutionEngine(clock="virtual", lead=lead).run(diamond, plan)
+        assert list(info.value.failed) == ["lead:assign"]
+        assert info.value.trace.outputs == {} and info.value.trace.lead == {}
+
+    def test_reconcile_failure_keeps_partial_trace(self, diamond):
+        lead = ScriptedBackend({"lead:assign": {"text": "plan"}, "lead:reconcile": {"fail": True}})
+        plan = make_plan(diamond, HIERARCHICAL, [MockBackend()])
+        with pytest.raises(ExecutionFailure) as info:
+            ExecutionEngine(clock="virtual", lead=lead).run(diamond, plan)
+        trace = info.value.trace
+        assert list(info.value.failed) == ["lead:reconcile"]
+        assert sorted(trace.outputs) == ["v0", "v1", "v2", "v3"]
+        assert trace.lead["assign"].text == "plan"
+        assert "lead:reconcile" in trace.to_record()["failures"]
+        # the clock stops after the last layer: assign plus three layers of 0.1
+        assert trace.wall_clock == pytest.approx(0.1 + 0.3)
 
 
 class TestWallClock:

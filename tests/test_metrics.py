@@ -4,17 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topoflow.archetypes import ArchetypeKind, DagArchetype, generate_archetype
+from topoflow.dag import ValidationError
 from topoflow.metrics import (
     WidthMode,
     compute_metrics,
     critical_path_depth,
-    hopcroft_karp,
     topological_layers,
-    transitive_closure,
     width_exact,
 )
 
-from conftest import brute_critical_depth, brute_max_antichain, make_dag, random_small_dag
+from conftest import (
+    brute_critical_depth,
+    brute_max_antichain,
+    make_dag,
+    random_small_dag,
+    reachability,
+)
 
 
 class TestFixedExamples:
@@ -83,7 +89,7 @@ class TestOracleProperties:
             layers = topological_layers(dag)
             flat = [vid for layer in layers for vid in layer]
             assert sorted(flat) == sorted(dag.vertex_ids)
-            reach = transitive_closure(dag)
+            reach = reachability(dag)
             for layer in layers:
                 for a in layer:
                     assert not (reach[a] & layer)
@@ -109,26 +115,59 @@ class TestWidthModes:
         assert compute_metrics(diamond).width_mode is WidthMode.EXACT
 
 
-class TestHopcroftKarp:
-    def test_perfect_matching(self):
-        graph = {"a": ["x", "y"], "b": ["x"], "c": ["y", "z"]}
-        assert hopcroft_karp(graph, {"x", "y", "z"}) == 3
+@st.composite
+def small_dags(draw, max_n=12):
+    """Any DAG on up to max_n vertices, with ids and edges in any order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rank = draw(st.permutations(range(n)))
+    edges = [(rank[i], rank[j]) for (i, j), k in zip(pairs, keep) if k]
+    # the greedy path cover follows edge order, so vary it too
+    return make_dag(n, draw(st.permutations(edges)))
 
-    def test_bottleneck(self):
-        graph = {"a": ["x"], "b": ["x"], "c": ["x"]}
-        assert hopcroft_karp(graph, {"x"}) == 1
 
-    def test_empty(self):
-        assert hopcroft_karp({}, set()) == 0
+class TestExactWidth:
+    @given(small_dags())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, dag):
+        assert width_exact(dag) == brute_max_antichain(dag)
 
-    @given(st.integers(min_value=0, max_value=2**16 - 1), st.integers(min_value=2, max_value=5))
-    @settings(max_examples=50, deadline=None)
-    def test_matching_bounded_by_koenig(self, seed, nl):
-        rng = random.Random(seed)
-        left = [f"l{i}" for i in range(nl)]
-        right = {f"r{i}" for i in range(rng.randint(1, 5))}
-        graph = {u: [v for v in sorted(right) if rng.random() < 0.5] for u in left}
-        m = hopcroft_karp(graph, right)
-        assert 0 <= m <= min(len(left), len(right))
-        touched = {u for u in left if graph[u]}
-        assert m <= len(touched)
+    @pytest.mark.parametrize(
+        "kind, width",
+        [
+            (ArchetypeKind.CHAIN, 1),
+            (ArchetypeKind.WIDE_SHALLOW, 2999),
+            (ArchetypeKind.DIAMOND, 2998),
+            # the layer bound (2) and the greedy cover (1500) do not meet, so
+            # this one builds the closure and runs the augmenting search
+            (ArchetypeKind.DEEP_NARROW, 1500),
+        ],
+    )
+    def test_known_widths_at_3000(self, kind, width):
+        dag = generate_archetype(DagArchetype(kind, 3000, seed=3))
+        assert width_exact(dag) == width
+
+    def test_deep_augmenting_path(self):
+        # Sources p_0..p_k over sinks q_0..q_k, with p_i -> q_(i+1) listed
+        # before p_i -> q_i.  The greedy cover takes every p_i -> q_(i+1) and
+        # leaves p_k alone; the one augmenting path then runs
+        # p_k, q_k, p_(k-1), ..., q_0, deeper than the recursion limit.  The
+        # matching p_i -> q_i is perfect, so the width is k + 1.
+        k = 1500
+        p, q = range(k + 1), range(k + 1, 2 * k + 2)
+        edges = [(p[i], q[i + 1]) for i in range(k)] + [(p[i], q[i]) for i in range(k + 1)]
+        assert width_exact(make_dag(2 * k + 2, edges)) == k + 1
+
+
+class TestCycles:
+    # b -> c -> b is a cycle; Kahn's order stops after a
+    CYCLIC = make_dag(3, [(0, 1), (1, 2), (2, 1)])
+
+    def test_critical_path_depth_raises(self):
+        with pytest.raises(ValidationError, match="cycle"):
+            critical_path_depth(self.CYCLIC)
+
+    def test_width_exact_raises(self):
+        with pytest.raises(ValidationError, match="cycle"):
+            width_exact(self.CYCLIC)
