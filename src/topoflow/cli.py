@@ -27,7 +27,7 @@ from .convergence import (
     variance_ratio_bound,
 )
 from .dag import DagError, ParseError, ValidationError, ingest, load_dag
-from .execution import ExecutionEngine, ExecutionFailure, make_plan
+from .execution import ExecutionEngine, ExecutionFailure, embedding_relevance, make_plan
 from .routing import (
     RouterConfig,
     RoutingDecision,
@@ -36,7 +36,7 @@ from .routing import (
     route,
     split_dev_test,
 )
-from .synthesis import SynthesisConfig, SynthesisError, synthesize
+from .synthesis import HashedEmbedder, SynthesisConfig, SynthesisError, synthesize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,10 +117,12 @@ def cmd_exec(args) -> int:
     )
     pool = _make_pool(manifest["backend"], base_dir)
     offline = manifest["backend"] == "mock" or manifest["backend"].startswith("scripted:")
+    embedder = HashedEmbedder()  # one memo for context merging and synthesis
     engine = ExecutionEngine(
         concurrency_limit=int(manifest.get("concurrency", 8)),
         clock="virtual" if offline else "wall",
         task_text=manifest.get("task", ""),
+        relevance=embedding_relevance(embedder),
         lead=pool[0],
     )
     ledger = CostLedger(
@@ -168,6 +170,7 @@ def cmd_exec(args) -> int:
             merge_agent=pool[0],
             arbiter_agent=pool[0],
             reroute=reroute,
+            embedder=embedder,
         )
     except ExecutionFailure as exc:
         record_execution(exc.trace)  # the calls that did complete were paid for
@@ -177,6 +180,8 @@ def cmd_exec(args) -> int:
         print(f"execute: failed vertices {sorted(exc.failed)}", file=sys.stderr)
         return EXIT_BACKEND
     except SynthesisError as exc:
+        for call in exc.agent_calls:  # merge and arbiter calls made before the failure
+            ledger.record(call, Phase.SYNTHESIZE)
         runlog.write_json(os.path.join(out_dir, "trace.json"), traces[-1].to_record())
         runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
         runlog.write_jsonl(os.path.join(out_dir, "run.log.jsonl"), log_records)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .archetypes import DagArchetype, generate_archetype
 from .dag import TaskDag
-from .metrics import WidthMode, compute_metrics
+from .metrics import DagMetrics, WidthMode, compute_metrics
 from .routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind, route
 
 S_STAR = 0.9  # fixed quality anchor; the bound is location-invariant
@@ -81,7 +81,11 @@ def topology_quality_gap(p: ConvergenceParams) -> float:
 
 
 def assumption_one_qualities(
-    dag: TaskDag, *, c_tau: float = DEFAULT_C_TAU, base: float = S_STAR
+    dag: TaskDag,
+    *,
+    c_tau: float = DEFAULT_C_TAU,
+    base: float = S_STAR,
+    metrics: DagMetrics | None = None,
 ) -> dict[TopologyKind, float]:
     """Per-topology quality under the modeled sensitivity.
 
@@ -89,9 +93,10 @@ def assumption_one_qualities(
     loses it at high coupling, with a small context-loss term so that chains
     with coupled edges prefer sequential execution.  Hybrid interpolates by
     stage structure; hierarchical pays a fixed arbitration penalty.  See
-    ``SIM_METADATA`` for the declared formulas.
+    ``SIM_METADATA`` for the declared formulas.  ``metrics`` is the DAG's
+    exact-width :func:`compute_metrics` when the caller has it.
     """
-    m = compute_metrics(dag, mode=WidthMode.EXACT)
+    m = compute_metrics(dag, mode=WidthMode.EXACT) if metrics is None else metrics
     gap = c_tau * (m.width_exact - 1) * (1 - m.coupling_density)
     total = sum(v.weight for v in dag.vertices)
     stage_factor = 1 - (m.depth / total if total else 1.0)
@@ -230,7 +235,7 @@ def simulate_variance(cfg: SimConfig) -> SimResult:
         rng = random.Random(dag_seed ^ 0x5EED5C0E)
         scores = [S_STAR - cfg.epsilon * rng.random() for _ in range(cfg.pool_size)]
         var_m = statistics.variance(scores)
-        quals = assumption_one_qualities(dag, base=scores[0])
+        quals = assumption_one_qualities(dag, base=scores[0], metrics=m)
         var_t = statistics.variance(quals.values())
         try:
             bound = variance_ratio_bound(

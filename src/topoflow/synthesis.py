@@ -15,7 +15,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .backends import AgentBackend, AgentOutput, BackendError
 from .routing import Topology, TopologyKind
@@ -32,12 +32,44 @@ MERGE_PREFIX = _template("merge.txt")
 ARBITER_PREFIX = _template("arbiter.txt")
 
 
+EMBED_CACHE_SIZE = 16384  # distinct texts an embedder keeps before it starts over
+
+
+class SparseVector(NamedTuple):
+    """An embedding's non-zero entries, by ascending index, and its L2 norm
+    summed exactly as :func:`cosine` sums it over the dense vector."""
+
+    entries: dict[int, float]
+    norm: float
+
+
 class Embedder(ABC):
     dimension: int
 
     @abstractmethod
     def embed(self, text: str) -> list[float]:
         """Deterministic fixed-dimension embedding of the text."""
+
+    def sparse(self, text: str) -> SparseVector:
+        """``embed(text)`` as a :class:`SparseVector`, embedded once per distinct text.
+
+        The memo holds up to ``EMBED_CACHE_SIZE`` texts and is emptied when
+        full.  Threads sharing an embedder may embed a text twice, never
+        read a wrong vector.
+        """
+        try:
+            memo = self._memo
+        except AttributeError:  # the first call; no subclass __init__ has to set it
+            memo = self._memo = {}
+        vec = memo.get(text)
+        if vec is None:
+            entries = {i: x for i, x in enumerate(self.embed(text)) if x}
+            # the dense sum adds only +0.0 beyond these squares, so the norm is cosine's
+            vec = SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
+            if len(memo) >= EMBED_CACHE_SIZE:
+                memo.clear()
+            memo[text] = vec
+        return vec
 
 
 class HashedEmbedder(Embedder):
@@ -70,6 +102,7 @@ class FixtureEmbedder(Embedder):
 
 
 def cosine(a: list[float], b: list[float]) -> float:
+    """Dense cosine similarity; the reference that :func:`_sparse_cosine` matches."""
     dot = sum(x * y for x, y in zip(a, b))
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(x * x for x in b))
@@ -78,18 +111,35 @@ def cosine(a: list[float], b: list[float]) -> float:
     return dot / (na * nb)
 
 
+def _sparse_cosine(a: SparseVector, b: SparseVector) -> float:
+    """:func:`cosine` of the dense vectors, bit for bit.
+
+    The dense dot product adds the products over shared non-zero indices in
+    ascending index order and exact zeros in between; adding a zero leaves a
+    sum unchanged, so summing only those products in the same order gives
+    the same float.
+    """
+    (ea, na), (eb, nb) = a, b
+    if na == 0 or nb == 0:
+        return 0.0
+    if len(eb) < len(ea):
+        ea, eb = eb, ea  # products commute exactly; the index order is the same
+    # ``sum`` as in ``cosine``: from Python 3.12 it compensates, unlike ``+=``
+    return sum(x * eb[i] for i, x in ea.items() if i in eb) / (na * nb)
+
+
 def consistency_score(outputs: list[str], embedder: Embedder) -> float:
     """Mean pairwise cosine similarity; a single output is self-consistent (1.0)."""
     if not outputs:
         raise ValueError("outputs must be nonempty")
     if len(outputs) == 1:
         return 1.0
-    vecs = [embedder.embed(o) for o in outputs]
+    vecs = [embedder.sparse(o) for o in outputs]
     total = 0.0
     pairs = 0
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            total += cosine(vecs[i], vecs[j])
+            total += _sparse_cosine(vecs[i], vecs[j])
             pairs += 1
     return total / pairs
 
@@ -98,8 +148,8 @@ def consistency_of_candidate(candidate: str, originals: list[str], embedder: Emb
     """Mean cosine similarity between the candidate and each original output."""
     if not originals:
         raise ValueError("originals must be nonempty")
-    cand = embedder.embed(candidate)
-    return sum(cosine(cand, embedder.embed(o)) for o in originals) / len(originals)
+    cand = embedder.sparse(candidate)
+    return sum(_sparse_cosine(cand, embedder.sparse(o)) for o in originals) / len(originals)
 
 
 def iteration_bound(gamma0: float) -> int:
@@ -146,11 +196,18 @@ class SynthesisResult:
 
 
 class SynthesisError(Exception):
-    """Merge or arbiter backend failure; carries the trail accumulated so far."""
+    """Merge or arbiter backend failure; carries the trail accumulated so far
+    and the merge and arbiter calls that completed before it."""
 
-    def __init__(self, message: str, route_trail: tuple[tuple[float, TopologyKind], ...]):
+    def __init__(
+        self,
+        message: str,
+        route_trail: tuple[tuple[float, TopologyKind], ...],
+        agent_calls: tuple[AgentOutput, ...] = (),
+    ):
         super().__init__(message)
         self.route_trail = route_trail
+        self.agent_calls = agent_calls
 
 
 RerouteFn = Callable[[float], tuple[list[str], Topology]]
@@ -204,7 +261,9 @@ def synthesize(
             try:
                 merged = merge_agent.invoke(MERGE_PREFIX + joined, "", tag="merge")
             except BackendError as exc:
-                raise SynthesisError(f"merge agent failed: {exc}", tuple(trail)) from exc
+                raise SynthesisError(
+                    f"merge agent failed: {exc}", tuple(trail), tuple(calls)
+                ) from exc
             calls.append(merged.with_subtask("merge"))
             return SynthesisResult(
                 final_text=merged.text,
@@ -219,7 +278,9 @@ def synthesize(
         try:
             candidate = arbiter_agent.invoke(ARBITER_PREFIX + joined, "", tag="arbiter")
         except BackendError as exc:
-            raise SynthesisError(f"arbiter agent failed: {exc}", tuple(trail)) from exc
+            raise SynthesisError(
+                f"arbiter agent failed: {exc}", tuple(trail), tuple(calls)
+            ) from exc
         calls.append(candidate.with_subtask("arbiter"))
         cand_cs = consistency_of_candidate(candidate.text, current_outputs, embedder)
         if cand_cs >= config.theta_cs:

@@ -7,6 +7,7 @@ enumeration, a straight-line transcription of the routing rules, closed-form
 arithmetic) rather than read back from the implementation.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -14,6 +15,7 @@ import os
 import random
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,9 +33,16 @@ from topoflow.convergence import (
     variance_ratio_bound,
 )
 from topoflow.execution import ExecutionEngine, make_plan
-from topoflow.metrics import WidthMode, compute_metrics
+from topoflow.metrics import WidthMode, compute_metrics, topological_layers
 from topoflow.routing import TOPOLOGY_ORDER, RouterConfig, Topology, TopologyKind, route
-from topoflow.synthesis import FixtureEmbedder, SynthesisConfig, iteration_bound, synthesize
+from topoflow.synthesis import (
+    FixtureEmbedder,
+    HashedEmbedder,
+    SynthesisConfig,
+    consistency_score,
+    iteration_bound,
+    synthesize,
+)
 
 from conftest import brute_max_antichain, make_dag, random_small_dag
 
@@ -229,6 +238,31 @@ def test_exact_width_chain_latency():
     ok = m.width_exact == 1 and elapsed < 1.0
     print(f"\nexact width, 3000-vertex chain: {m.width_exact} in {elapsed * 1000:.1f} ms (< 1000 ms)")
     assert ok, f"exact width of a 3000-vertex chain: {m.width_exact} in {elapsed:.2f}s"
+
+
+def test_hybrid_exec_and_consistency_latency():
+    # beside criterion 7: every output of a 400-vertex hybrid run is ranked
+    # for every later vertex, and consistency scores all 79,800 pairs; each
+    # text is embedded once and the scores stay bit-identical to the dense
+    # cosine, so the trace digest (taken from the dense implementation) holds
+    t0 = time.perf_counter()
+    base = random_dag(400, 0.01, seed=7)
+    tails = ("[mock0]", "[mock1]", "[mock2]", "summary")
+    dag = replace(base, vertices=tuple(
+        replace(v, description=f"step {i % 10} result {tails[i % 4]}")
+        for i, v in enumerate(base.vertices)
+    ))
+    stages = tuple(frozenset(layer) for layer in topological_layers(dag))
+    pool = [MockBackend(f"mock{i}") for i in range(3)]
+    plan = make_plan(dag, Topology(TopologyKind.HYBRID, stages=stages), pool)
+    trace = ExecutionEngine(clock="virtual", task_text="gate").run(dag, plan)
+    score = consistency_score([o.text for o in trace.ordered_outputs()], HashedEmbedder())
+    elapsed = time.perf_counter() - t0
+    digest = hashlib.sha256(json.dumps(trace.to_record(), sort_keys=True).encode()).hexdigest()
+    print(f"\nhybrid exec + consistency, 400 vertices / {len(stages)} stages: {elapsed:.2f} s (< 2 s)")
+    assert digest == "e6c6b1071d4cc3023e563c1b0b2288e30a027bc486d6af5272ef391fafc94b45"
+    assert repr(score) == "0.44937707926109816"
+    assert elapsed < 2.0, f"400-vertex hybrid exec and consistency took {elapsed:.2f}s"
 
 
 # -- 8: cost accounting exact to the micro-dollar ------------------------------

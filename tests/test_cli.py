@@ -4,8 +4,10 @@ import shutil
 
 import pytest
 
+from topoflow.backends import BackendError, ScriptedBackend
 from topoflow.cli import main
 from topoflow.runlog import read_jsonl
+from topoflow.synthesis import HashedEmbedder
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -175,6 +177,40 @@ class TestExec:
         trace = json.loads((out / "trace.json").read_text())
         assert sorted(trace["outputs"]) == ["v0", "v1", "v2", "v3"]
         assert not (out / "report.json").exists()
+    def test_exec_synthesis_failure_keeps_paid_synthesis_calls(self, tmp_path, capsys, monkeypatch):
+        # the diamond arbitrates and re-routes; the arbiter answers on the
+        # first synthesis pass and fails on the second
+        invoke = ScriptedBackend.invoke
+        arbiter_calls = []
+
+        def flaky_arbiter(self, instruction, context, *, tag=None):
+            if tag == "arbiter":
+                arbiter_calls.append(tag)
+                if len(arbiter_calls) == 2:
+                    raise BackendError("scripted arbiter outage")
+            return invoke(self, instruction, context, tag=tag)
+
+        monkeypatch.setattr(ScriptedBackend, "invoke", flaky_arbiter)
+        assert main(["exec", write_manifest(tmp_path)]) == 4
+        ledger = json.loads((tmp_path / "out" / "ledger.json").read_text())
+        entries = [(e["prompt_tokens"], e["completion_tokens"], e["phase"]) for e in ledger["entries"]]
+        assert len(arbiter_calls) == 2
+        assert [phase for _, _, phase in entries] == ["execute"] * 8 + ["synthesize"]
+        assert entries[-1] == (130, 30, "synthesize")
+
+    def test_exec_embeds_each_text_once(self, tmp_path, capsys, monkeypatch):
+        # context merging and synthesis share one embedder and its memo
+        embed = HashedEmbedder.embed
+        texts = []
+
+        def counting_embed(self, text):
+            texts.append(text)
+            return embed(self, text)
+
+        monkeypatch.setattr(HashedEmbedder, "embed", counting_embed)
+        assert main(["exec", write_manifest(tmp_path)]) == 0
+        assert texts and len(texts) == len(set(texts))
+
 
 class TestRatio:
     def test_reference_value(self, capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from topoflow import convergence
 from topoflow.archetypes import ArchetypeKind, DagArchetype
 from topoflow.convergence import (
     BoundDiverges,
@@ -177,6 +178,16 @@ class TestSimulation:
             archetype=DagArchetype(ArchetypeKind.WIDE_SHALLOW, 6), epsilon=0.02, trials=20
         )
         assert simulate_variance(cfg).summary() == simulate_variance(cfg).summary()
+
+    def test_metrics_computed_once_per_trial(self, monkeypatch):
+        compute = convergence.compute_metrics
+        calls = []
+        monkeypatch.setattr(
+            convergence, "compute_metrics", lambda dag, **kw: calls.append(dag) or compute(dag, **kw)
+        )
+        cfg = SimConfig(archetype=DagArchetype(ArchetypeKind.DIAMOND, 6), epsilon=0.05, trials=5)
+        simulate_variance(cfg)
+        assert len(calls) == 5
 
     def test_metadata_declares_model(self):
         cfg = SimConfig(archetype=DagArchetype(ArchetypeKind.DIAMOND, 5), epsilon=0.05, trials=5)

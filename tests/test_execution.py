@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from topoflow import execution
 from topoflow.backends import AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from topoflow.dag import Subtask
 from topoflow.execution import (
@@ -137,6 +138,14 @@ class TestMakePlan:
         decision = route(diamond)
         plan = make_plan(diamond, decision.topology, [MockBackend()])
         assert plan.order == (("v0",), ("v1", "v2"), ("v3",))
+
+    @pytest.mark.parametrize("topology", [PARALLEL, HIERARCHICAL])
+    def test_layers_the_dag_once(self, diamond, topology, monkeypatch):
+        layers = execution.topological_layers
+        calls = []
+        monkeypatch.setattr(execution, "topological_layers", lambda dag: calls.append(dag) or layers(dag))
+        make_plan(diamond, topology, [MockBackend()])
+        assert len(calls) == 1
 
     def test_hierarchical_uses_layers(self, diamond):
         plan = make_plan(diamond, HIERARCHICAL, [MockBackend()])

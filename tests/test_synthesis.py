@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoflow.backends import ScriptedBackend
+from topoflow import synthesis
+from topoflow.backends import AgentOutput, ScriptedBackend
+from topoflow.dag import Subtask
+from topoflow.execution import embedding_relevance, merge_context
 from topoflow.routing import Topology, TopologyKind
 from topoflow.synthesis import (
     ARBITER_PREFIX,
@@ -73,6 +76,107 @@ class TestConsistencyScore:
     def test_candidate_score(self):
         emb = FixtureEmbedder({"cand": [1.0, 0.0], "o1": [1.0, 0.0], "o2": [0.0, 1.0]})
         assert consistency_of_candidate("cand", ["o1", "o2"], emb) == pytest.approx(0.5)
+
+
+# The dense formulas the scores were defined by; the sparse path must match
+# them bit for bit, because mock outputs tie on relevance and ties are broken
+# by subtask id, so one ulp can reorder a context.
+
+def dense_consistency(outputs, emb):
+    if len(outputs) == 1:
+        return 1.0
+    vecs = [emb.embed(o) for o in outputs]
+    total = 0.0
+    pairs = 0
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            total += cosine(vecs[i], vecs[j])
+            pairs += 1
+    return total / pairs
+
+
+def dense_candidate(candidate, originals, emb):
+    cand = emb.embed(candidate)
+    return sum(cosine(cand, emb.embed(o)) for o in originals) / len(originals)
+
+
+def dense_relevance(emb):
+    return lambda text, description: cosine(emb.embed(text), emb.embed(description))
+
+
+TEXTS = st.lists(
+    st.sampled_from(["red", "Fox", "fox", "blue", "sky", "the", "a", "x1", "[mock0]", "result"]),
+    max_size=8,
+).map(" ".join)  # "" included
+ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-1e3, max_value=1e3))
+
+
+def fixture_vectors(dim):
+    vector = st.one_of(st.lists(ENTRY, min_size=dim, max_size=dim), st.just([0.0] * dim))
+    return st.lists(vector, min_size=2, max_size=7)
+
+
+class TestSparseExactness:
+    @given(st.integers(min_value=1, max_value=256), st.lists(TEXTS, min_size=1, max_size=6), TEXTS)
+    @settings(max_examples=200, deadline=None)
+    def test_hashed_matches_dense(self, dim, texts, other):
+        texts = texts + texts[:2]  # repeated texts
+        emb, ref = HashedEmbedder(dim), HashedEmbedder(dim)
+        assert repr(consistency_score(texts, emb)) == repr(dense_consistency(texts, ref))
+        assert repr(consistency_of_candidate(other, texts, emb)) == repr(dense_candidate(other, texts, ref))
+        rel, dense = embedding_relevance(emb), dense_relevance(ref)
+        assert [repr(rel(t, other)) for t in texts] == [repr(dense(t, other)) for t in texts]
+
+    @given(st.integers(min_value=1, max_value=12).flatmap(fixture_vectors))
+    @settings(max_examples=200, deadline=None)
+    def test_fixture_matches_dense(self, vectors):
+        names = [f"t{i}" for i in range(len(vectors))]
+        emb = FixtureEmbedder(dict(zip(names, vectors)))
+        ref = FixtureEmbedder(dict(zip(names, vectors)))
+        texts = names[1:] + names[1:2]
+        assert repr(consistency_score(texts, emb)) == repr(dense_consistency(texts, ref))
+        assert repr(consistency_of_candidate(names[0], texts, emb)) == repr(dense_candidate(names[0], texts, ref))
+        rel, dense = embedding_relevance(emb), dense_relevance(ref)
+        assert [repr(rel(a, b)) for a in names for b in names] == [
+            repr(dense(a, b)) for a in names for b in names
+        ]
+
+    @given(st.integers(min_value=1, max_value=64), st.lists(TEXTS, min_size=1, max_size=10), TEXTS,
+           st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_context_ties_match_dense(self, dim, texts, description, rnd):
+        # repeated and reordered texts tie exactly; the tie is broken by id
+        texts = texts + [" ".join(reversed(t.split())) for t in texts]
+        ids = [f"v{i}" for i in range(len(texts))]
+        rnd.shuffle(ids)
+        outputs = [
+            AgentOutput(text=t, prompt_tokens=1, completion_tokens=1, latency=0.1, backend="m", subtask_id=v)
+            for t, v in zip(texts, ids)
+        ]
+        target = Subtask("t", description=description)
+        sparse = merge_context(outputs, target, 10**6, embedding_relevance(HashedEmbedder(dim)))
+        assert sparse == merge_context(outputs, target, 10**6, dense_relevance(HashedEmbedder(dim)))
+
+    def test_each_distinct_text_embedded_once(self, monkeypatch):
+        emb = HashedEmbedder()
+        texts = []
+        embed = emb.embed
+        monkeypatch.setattr(emb, "embed", lambda text: texts.append(text) or embed(text))
+        consistency_score(["a b", "a b", "c"], emb)
+        consistency_of_candidate("c", ["a b", "d"], emb)
+        embedding_relevance(emb)("d", "a b")
+        assert texts == ["a b", "c", "d"]
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "EMBED_CACHE_SIZE", 2)
+        emb = FixtureEmbedder({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
+        texts = []
+        embed = emb.embed
+        monkeypatch.setattr(emb, "embed", lambda text: texts.append(text) or embed(text))
+        for text in ("a", "b", "c", "a", "c"):
+            emb.sparse(text)
+        # the memo is emptied when full, so "a" is embedded again after "c"
+        assert texts == ["a", "b", "c", "a"]
 
 
 class TestIterationBound:
@@ -197,6 +301,7 @@ class TestSynthesize:
                 ["same", "same"], PARALLEL, SynthesisConfig(), broken, scripted(),
             )
         assert exc_info.value.route_trail == ((0.0, TopologyKind.PARALLEL),)
+        assert exc_info.value.agent_calls == ()
 
     def test_empty_outputs_rejected(self):
         with pytest.raises(ValueError):
