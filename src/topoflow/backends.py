@@ -178,28 +178,22 @@ class HttpChatBackend(AgentBackend):
 
     def invoke(self, instruction: str, context: str, *, tag: str | None = None) -> AgentOutput:
         prompt = instruction if not context else f"{instruction}\n\n{context}"
+        payload = {
+            "model": self.model,
+            "max_tokens": self.max_tokens,
+            "temperature": 0.0,
+            "messages": [{"role": "user", "content": prompt}],
+        }
         if self.spec.style == "anthropic":
             headers = {
                 "x-api-key": self._api_key(),
                 "anthropic-version": "2023-06-01",
                 "content-type": "application/json",
             }
-            payload = {
-                "model": self.model,
-                "max_tokens": self.max_tokens,
-                "temperature": 0.0,
-                "messages": [{"role": "user", "content": prompt}],
-            }
         else:
             headers = {
                 "Authorization": f"Bearer {self._api_key()}",
                 "Content-Type": "application/json",
-            }
-            payload = {
-                "model": self.model,
-                "max_tokens": self.max_tokens,
-                "temperature": 0.0,
-                "messages": [{"role": "user", "content": prompt}],
             }
         start = time.perf_counter()
         try:

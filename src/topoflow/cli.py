@@ -345,25 +345,16 @@ def cmd_report(args) -> int:
 
     oracled = [r for r in runs if "oracle_topology" in r]
     if oracled:
-        from .routing import TOPOLOGY_ORDER
-
-        counts = {r: {o: 0 for o in TOPOLOGY_ORDER} for r in TOPOLOGY_ORDER}
-        agree = 0
-        for r in oracled:
-            rk, ok_ = TopologyKind(r["topology"]), TopologyKind(r["oracle_topology"])
-            counts[rk][ok_] += 1
-            agree += rk is ok_
-        cm = convergence.ConfusionMatrix(counts=counts, accuracy=agree / len(oracled))
+        cm = convergence.tally_confusion(
+            [(TopologyKind(r["topology"]), TopologyKind(r["oracle_topology"])) for r in oracled]
+        )
         runlog.atomic_write(
             os.path.join(args.out, "confusion_matrix.txt"), format_confusion_matrix(cm) + "\n"
         )
         runlog.write_csv(
             os.path.join(args.out, "confusion_matrix.csv"),
-            ["router"] + [k.value for k in TOPOLOGY_ORDER],
-            [
-                {"router": rk.value, **{o.value: counts[rk][o] for o in TOPOLOGY_ORDER}}
-                for rk in TOPOLOGY_ORDER
-            ],
+            ["router"] + [k.value for k in cm.counts],
+            [{"router": rk.value, **{o.value: n for o, n in row.items()}} for rk, row in cm.counts.items()],
         )
         outputs += ["confusion_matrix.txt", "confusion_matrix.csv"]
     print(f"wrote {len(outputs)} report file(s) to {args.out}")

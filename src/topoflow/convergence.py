@@ -140,21 +140,24 @@ class ConfusionMatrix:
         return sum(sum(row.values()) for row in self.counts.values())
 
 
+def tally_confusion(pairs: list[tuple[TopologyKind, TopologyKind]]) -> ConfusionMatrix:
+    """counts[router topology][oracle topology] over (router, oracle) pairs."""
+    counts = {r: {o: 0 for o in TOPOLOGY_ORDER} for r in TOPOLOGY_ORDER}
+    for routed, oracle in pairs:
+        counts[routed][oracle] += 1
+    agree = sum(routed is oracle for routed, oracle in pairs)
+    return ConfusionMatrix(counts=counts, accuracy=agree / len(pairs))
+
+
 def confusion_matrix(
     tasks: list[TaskDag], config: RouterConfig, evaluator
 ) -> ConfusionMatrix:
     """counts[router topology][oracle topology] over the task batch."""
     if not tasks:
         raise ValueError("tasks must be nonempty")
-    counts = {r: {o: 0 for o in TOPOLOGY_ORDER} for r in TOPOLOGY_ORDER}
-    agree = 0
-    for dag in tasks:
-        routed = route(dag, config).topology.kind
-        oracle, _ = oracle_route(dag, evaluator)
-        counts[routed][oracle] += 1
-        if routed is oracle:
-            agree += 1
-    return ConfusionMatrix(counts=counts, accuracy=agree / len(tasks))
+    return tally_confusion(
+        [(route(dag, config).topology.kind, oracle_route(dag, evaluator)[0]) for dag in tasks]
+    )
 
 
 def format_confusion_matrix(cm: ConfusionMatrix) -> str:

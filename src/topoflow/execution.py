@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 from .backends import AgentBackend, AgentOutput, BackendError
 from .dag import Subtask, TaskDag
-from .metrics import _topological_order, topological_layers
 from .routing import Topology, TopologyKind
 from .synthesis import Embedder, HashedEmbedder, _sparse_cosine
 from .synthesis import cosine  # noqa: F401  (perfbench's self-test patches this binding)
@@ -115,21 +114,12 @@ class ExecutionFailure(Exception):
         self.trace = trace
 
 
-def assign_agents(
-    dag: TaskDag, pool: Sequence[AgentBackend], layers: list[set[str]] | None = None
-) -> dict[str, AgentBackend]:
-    """Round-robin assignment over vertices sorted by (layer, id).
-
-    ``layers`` is the DAG's ``topological_layers`` when the caller has them.
-    """
+def assign_agents(dag: TaskDag, pool: Sequence[AgentBackend]) -> dict[str, AgentBackend]:
+    """Round-robin assignment over vertices sorted by (layer, id)."""
     if not pool:
         raise ValueError("backend pool must be nonempty")
-    ordered = _vertices_by_layer(topological_layers(dag) if layers is None else layers)
+    ordered = [vid for layer in dag.index.layers for vid in layer]
     return {vid: pool[i % len(pool)] for i, vid in enumerate(ordered)}
-
-
-def _vertices_by_layer(layers: list[set[str]]) -> list[str]:
-    return [vid for layer in layers for vid in sorted(layer)]
 
 
 def make_plan(
@@ -140,16 +130,16 @@ def make_plan(
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> ExecutionPlan:
     """Build the concrete schedule for a routed topology."""
-    layers = topological_layers(dag)
-    assignments = assign_agents(dag, pool, layers)
+    index = dag.index
+    assignments = assign_agents(dag, pool)
     if topology.kind is TopologyKind.PARALLEL:
-        order: tuple[tuple[str, ...], ...] = (tuple(_vertices_by_layer(layers)),)
+        order: tuple[tuple[str, ...], ...] = (tuple(vid for layer in index.layers for vid in layer),)
     elif topology.kind is TopologyKind.SEQUENTIAL:
-        order = tuple((vid,) for vid in _topological_order(dag))
+        order = tuple((vid,) for vid in index.order)
     elif topology.kind is TopologyKind.HYBRID:
         order = tuple(tuple(sorted(stage)) for stage in topology.stages)
     else:  # hierarchical: DAG order, concurrent where independent
-        order = tuple(tuple(sorted(layer)) for layer in layers)
+        order = tuple(map(tuple, index.layers))
     return ExecutionPlan(
         topology=topology, assignments=assignments, order=order, context_budget=context_budget
     )

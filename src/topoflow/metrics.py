@@ -1,6 +1,7 @@
 """Structural DAG metrics: parallelism width, critical-path depth, coupling density.
 
-Every metric comes from one topological order (Kahn's algorithm).  A
+Every metric reads the DAG's index (:attr:`TaskDag.index`): one validation
+and one topological order (Kahn's algorithm), built on first use.  A
 vertex's layer is its longest-path depth (Mirsky layering), and each layer
 is an antichain.  The approximate width is the largest layer, in
 O(|V| + |E|).
@@ -24,11 +25,9 @@ it is maximum or |V| minus its size reaches L.
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .dag import TaskDag, ValidationError, require_valid, validate_dag
+from .dag import TaskDag
 
 
 class WidthMode(enum.Enum):
@@ -46,64 +45,10 @@ class DagMetrics:
     vertex_count: int
     edge_count: int
     width_mode: WidthMode = WidthMode.EXACT
-    layers: tuple[frozenset[str], ...] = ()  # longest-path layers, sources first
 
     @property
     def width(self) -> int:
         return self.width_exact
-
-
-class _TopoIndex(NamedTuple):
-    """A DAG indexed by position in one topological order."""
-
-    ids: list[str]  # vertex ids in topological order
-    succ: list[list[int]]  # successors of each position, as positions
-    level: list[int]  # longest-path layer of each position; sources are 1
-
-
-def _topological_order(dag: TaskDag) -> list[str]:
-    """Kahn's algorithm with sorted tie-breaking for determinism.
-
-    Raises :class:`ValidationError` when a cycle leaves vertices unordered.
-    """
-    indeg = {v.id: 0 for v in dag.vertices}
-    adj = dag.adjacency()
-    for u, v in dag.edges:
-        indeg[v] += 1
-    ready = deque(sorted(vid for vid, d in indeg.items() if d == 0))
-    order: list[str] = []
-    while ready:
-        vid = ready.popleft()
-        order.append(vid)
-        for nxt in sorted(adj[vid]):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if len(order) < dag.vertex_count:
-        raise ValidationError(validate_dag(dag))
-    return order
-
-
-def _index(dag: TaskDag) -> _TopoIndex:
-    """Order the DAG once and index it by position in that order."""
-    ids = _topological_order(dag)
-    pos = {vid: i for i, vid in enumerate(ids)}
-    succ: list[list[int]] = [[] for _ in ids]
-    for u, v in dag.edges:
-        succ[pos[u]].append(pos[v])
-    level = [1] * len(ids)
-    for i, out in enumerate(succ):
-        for j in out:
-            if level[j] <= level[i]:
-                level[j] = level[i] + 1
-    return _TopoIndex(ids, succ, level)
-
-
-def _layers(index: _TopoIndex) -> list[set[str]]:
-    layers: list[set[str]] = [set() for _ in range(max(index.level, default=0))]
-    for vid, lv in zip(index.ids, index.level):
-        layers[lv - 1].add(vid)
-    return layers
 
 
 def topological_layers(dag: TaskDag) -> list[set[str]]:
@@ -112,21 +57,16 @@ def topological_layers(dag: TaskDag) -> list[set[str]]:
     Layer of v = 1 + max layer over predecessors; sources sit in layer 1.
     Every edge crosses strictly forward, so each layer is an antichain.
     """
-    require_valid(dag)
-    return _layers(_index(dag))
+    return [set(layer) for layer in dag.index.layers]
 
 
-def critical_path_depth(dag: TaskDag, index: _TopoIndex | None = None) -> float:
-    """Maximum over directed paths of summed vertex weights (longest-path DP).
-
-    ``index`` is the DAG's index when the caller has already built it.
-    """
-    index = _index(dag) if index is None else index
-    weights = {v.id: v.weight for v in dag.vertices}
-    before = [0.0] * len(index.ids)  # heaviest path ending at a predecessor
+def critical_path_depth(dag: TaskDag) -> float:
+    """Maximum over directed paths of summed vertex weights (longest-path DP)."""
+    index = dag.index
+    before = [0.0] * len(index.order)  # heaviest path ending at a predecessor
     best = 0.0
-    for i, vid in enumerate(index.ids):
-        total = weights[vid] + before[i]
+    for i, vid in enumerate(index.order):
+        total = index.subtasks[vid].weight + before[i]
         best = max(best, total)
         for j in index.succ[i]:
             if before[j] < total:
@@ -134,16 +74,13 @@ def critical_path_depth(dag: TaskDag, index: _TopoIndex | None = None) -> float:
     return best
 
 
-def width_exact(dag: TaskDag, index: _TopoIndex | None = None) -> int:
-    """Maximum antichain size via Dilworth: |V| - maximum matching on the closure.
-
-    ``index`` is the DAG's index when the caller has already built it.
-    """
-    index = _index(dag) if index is None else index
-    n = len(index.ids)
+def width_exact(dag: TaskDag) -> int:
+    """Maximum antichain size via Dilworth: |V| - maximum matching on the closure."""
+    index = dag.index
+    n = len(index.order)
     if n == 0:
         return 0
-    lower = max(Counter(index.level).values())
+    lower = max(map(len, index.layers))
     # greedy path cover: each vertex extends its path to the first successor
     # that no path has entered yet; match_l[u] = v pairs u with a later v
     match_l = [-1] * n
@@ -202,20 +139,16 @@ def width_exact(dag: TaskDag, index: _TopoIndex | None = None) -> int:
 def compute_metrics(dag: TaskDag, mode: WidthMode = WidthMode.EXACT) -> DagMetrics:
     """Compute all structural metrics; exact width only when mode is EXACT.
 
-    The DAG is validated once and ordered once; layers, depth and width all
-    come from that order.  Coupling density over zero edges is defined as 0.0
-    (no coupling).  In APPROXIMATE mode ``width_exact`` is reported equal to
-    the layer-width approximation and flagged via ``width_mode``.
+    Coupling density over zero edges is defined as 0.0 (no coupling).  In
+    APPROXIMATE mode ``width_exact`` is reported equal to the layer-width
+    approximation and flagged via ``width_mode``.
     """
-    require_valid(dag)
-    index = _index(dag)
-    layers = _layers(index)
-    w_approx = max((len(layer) for layer in layers), default=0)
+    w_approx = max(map(len, dag.index.layers), default=0)
     if mode is WidthMode.EXACT:
-        w_exact = width_exact(dag, index)
+        w_exact = width_exact(dag)
     else:
         w_exact = w_approx
-    depth = critical_path_depth(dag, index)
+    depth = critical_path_depth(dag)
     density = (
         sum(dag.coupling[e] for e in dag.edges) / dag.edge_count
         if dag.edge_count
@@ -231,5 +164,4 @@ def compute_metrics(dag: TaskDag, mode: WidthMode = WidthMode.EXACT) -> DagMetri
         vertex_count=dag.vertex_count,
         edge_count=dag.edge_count,
         width_mode=mode,
-        layers=tuple(frozenset(layer) for layer in layers),
     )

@@ -150,7 +150,8 @@ def route(
     elif r > config.theta_omega and gamma <= config.theta_gamma:
         topology, rule = Topology(TopologyKind.PARALLEL), FiredRule.WIDE_LOW_COUPLING
     else:
-        topology, rule = Topology(TopologyKind.HYBRID, stages=metrics.layers), FiredRule.HYBRID_DEFAULT
+        stages = tuple(frozenset(layer) for layer in dag.index.layers)
+        topology, rule = Topology(TopologyKind.HYBRID, stages=stages), FiredRule.HYBRID_DEFAULT
 
     elapsed = time.perf_counter() - start
     return RoutingDecision(

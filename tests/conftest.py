@@ -1,8 +1,10 @@
 import itertools
 import random
+import sys
 
 import pytest
 
+from topoflow import dag as dag_module
 from topoflow.dag import Subtask, TaskDag
 
 
@@ -20,9 +22,17 @@ def make_dag(n, edges, *, weights=None, couplings=None, default_coupling=0.3):
     return TaskDag(vertices=vertices, edges=named, coupling=coupling)
 
 
+def adjacency(dag):
+    """Successor lists read from ``dag.edges`` alone, not from the DAG's index."""
+    adj = {v.id: [] for v in dag.vertices}
+    for u, v in dag.edges:
+        adj[u].append(v)
+    return adj
+
+
 def reachability(dag):
     """reach[u] = vertices strictly reachable from u, by repeated squaring-free DFS."""
-    adj = dag.adjacency()
+    adj = adjacency(dag)
     reach = {}
     for start in adj:
         seen = set()
@@ -56,7 +66,7 @@ def brute_max_antichain(dag):
 def brute_critical_depth(dag):
     """Maximum summed vertex weight over all directed paths, by enumeration."""
     weights = {v.id: v.weight for v in dag.vertices}
-    adj = dag.adjacency()
+    adj = adjacency(dag)
     best = 0.0
 
     def walk(vid, total):
@@ -68,6 +78,21 @@ def brute_critical_depth(dag):
 
     for vid in dag.vertex_ids:
         walk(vid, 0.0)
+    return best
+
+
+def brute_levels(dag):
+    """Most vertices on any path ending at each vertex, by walking every path."""
+    adj = adjacency(dag)
+    best = {vid: 1 for vid in adj}
+
+    def walk(vid, count):
+        best[vid] = max(best[vid], count)
+        for nxt in adj[vid]:
+            walk(nxt, count + 1)
+
+    for vid in adj:
+        walk(vid, 1)
     return best
 
 
@@ -101,3 +126,19 @@ def chain3():
 @pytest.fixture
 def isolated4():
     return make_dag(4, [])
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The DAGs passed to ``validate_dag``, patched in every topoflow module that binds it."""
+    calls = []
+    original = dag_module.validate_dag
+
+    def counting(dag):
+        calls.append(dag)
+        return original(dag)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "topoflow" and getattr(module, "validate_dag", None) is original:
+            monkeypatch.setattr(module, "validate_dag", counting)
+    return calls

@@ -309,6 +309,13 @@ class TestReport:
         cm = (out / "confusion_matrix.txt").read_text()
         assert "router \\ oracle" in cm
         assert "66.7%" in cm
+        assert (out / "confusion_matrix.csv").read_bytes() == (
+            b"router,parallel,sequential,hierarchical,hybrid\n"
+            b"parallel,1,0,0,0\n"
+            b"sequential,0,0,0,1\n"
+            b"hierarchical,0,0,0,0\n"
+            b"hybrid,0,0,0,1\n"
+        )
         hist = (out / "iteration_histogram.csv").read_text().splitlines()
         assert hist == ["iterations,count", "1,2", "2,1"]
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 
 import pytest
 
-from topoflow import execution
 from topoflow.backends import AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
+from topoflow.cli import main
+from topoflow import dag as dag_module
 from topoflow.dag import Subtask
 from topoflow.execution import (
     ExecutionEngine,
@@ -15,8 +17,10 @@ from topoflow.execution import (
     merge_context,
 )
 from topoflow.routing import Topology, TopologyKind, route
+from topoflow.runlog import read_jsonl
 
 from conftest import make_dag
+from test_cli import FIXTURES, write_manifest
 
 PARALLEL = Topology(TopologyKind.PARALLEL)
 SEQUENTIAL = Topology(TopologyKind.SEQUENTIAL)
@@ -75,8 +79,10 @@ class FakeResponse:
 class FakeSession:
     def __init__(self, response):
         self.response = response
+        self.headers = self.json = None
 
-    def post(self, url, **kwargs):
+    def post(self, url, *, headers, json, **kwargs):
+        self.headers, self.json = headers, json
         return self.response
 
 
@@ -93,9 +99,35 @@ class TestHttpChatBackend:
             "choices": [{"message": {"content": "hello"}}],
             "usage": {"prompt_tokens": 7, "completion_tokens": 2},
         }
-        result = self.backend(200, body).invoke("do x", "")
+        session = FakeSession(FakeResponse(200, body))
+        result = HttpChatBackend("openai", "gpt-4o-mini", session=session).invoke("do x", "ctx")
         assert (result.text, result.prompt_tokens, result.completion_tokens) == ("hello", 7, 2)
         assert result.backend == "openai:gpt-4o-mini"
+        assert session.headers["Authorization"] == "Bearer test-key"
+        assert session.json == self.payload("gpt-4o-mini")
+
+    def test_anthropic_reads_content_blocks_and_usage(self, monkeypatch):
+        monkeypatch.setenv("ANTHROPIC_API_KEY", "anthropic-key")
+        body = {
+            "content": [{"type": "text", "text": "hel"}, {"type": "text", "text": "lo"}],
+            "usage": {"input_tokens": 9, "output_tokens": 3},
+        }
+        session = FakeSession(FakeResponse(200, body))
+        result = HttpChatBackend("anthropic", "test-model", session=session).invoke("do x", "ctx")
+        assert (result.text, result.prompt_tokens, result.completion_tokens) == ("hello", 9, 3)
+        assert result.backend == "anthropic:test-model"
+        assert session.headers["x-api-key"] == "anthropic-key"
+        assert "Authorization" not in session.headers
+        assert session.json == self.payload("test-model")
+
+    @staticmethod
+    def payload(model):
+        return {
+            "model": model,
+            "max_tokens": 4096,
+            "temperature": 0.0,
+            "messages": [{"role": "user", "content": "do x\n\nctx"}],
+        }
 
     @pytest.mark.parametrize("body", [{"error": "no choices"}, {"choices": []}, "<html>bad gateway</html>"])
     def test_malformed_body_is_permanent_backend_error(self, body):
@@ -141,11 +173,30 @@ class TestMakePlan:
 
     @pytest.mark.parametrize("topology", [PARALLEL, HIERARCHICAL])
     def test_layers_the_dag_once(self, diamond, topology, monkeypatch):
-        layers = execution.topological_layers
+        build = dag_module._build_index
         calls = []
-        monkeypatch.setattr(execution, "topological_layers", lambda dag: calls.append(dag) or layers(dag))
-        make_plan(diamond, topology, [MockBackend()])
-        assert len(calls) == 1
+        monkeypatch.setattr(dag_module, "_build_index", lambda dag: calls.append(dag) or build(dag))
+        first = make_plan(diamond, topology, [MockBackend()])
+        second = make_plan(diamond, topology, [MockBackend()])
+        assert first.order == second.order
+        assert calls == [diamond]
+
+    def test_exec_validates_the_dag_once(self, tmp_path, validations):
+        # the diamond re-routes hybrid -> hybrid -> hybrid: one load, three
+        # routes and three plans of the same DAG
+        manifest = write_manifest(tmp_path)
+        assert main(["exec", manifest]) == 0
+        records, _ = read_jsonl(str(tmp_path / "out" / "run.log.jsonl"))
+        assert [r["topology"] for r in records if r["type"] == "route"] == ["hybrid"] * 3
+        assert len(validations) == 1
+
+    def test_route_validates_the_dag_once(self, validations, capsys):
+        assert main(["route", os.path.join(FIXTURES, "diamond.json")]) == 0
+        assert len(validations) == 1
+
+    def test_calibrate_validates_each_dag_once(self, tmp_path, validations, capsys):
+        assert main(["calibrate", "--synthetic", "40", "--out", str(tmp_path / "cal")]) == 0
+        assert len(validations) == len({id(dag) for dag in validations}) == 40
 
     def test_hierarchical_uses_layers(self, diamond):
         plan = make_plan(diamond, HIERARCHICAL, [MockBackend()])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topoflow.archetypes import ArchetypeKind, DagArchetype, generate_archetype
-from topoflow.dag import ValidationError
+from topoflow.dag import Subtask, TaskDag, ValidationError, validate_dag
 from topoflow.metrics import (
     WidthMode,
     compute_metrics,
@@ -16,6 +17,7 @@ from topoflow.metrics import (
 
 from conftest import (
     brute_critical_depth,
+    brute_levels,
     brute_max_antichain,
     make_dag,
     random_small_dag,
@@ -161,13 +163,50 @@ class TestExactWidth:
 
 
 class TestCycles:
-    # b -> c -> b is a cycle; Kahn's order stops after a
-    CYCLIC = make_dag(3, [(0, 1), (1, 2), (2, 1)])
+    """A cycle, or any other violation, makes every metric raise ValidationError."""
 
-    def test_critical_path_depth_raises(self):
-        with pytest.raises(ValidationError, match="cycle"):
-            critical_path_depth(self.CYCLIC)
+    A, B = Subtask("a"), Subtask("b")
+    INVALID = {
+        # v1 -> v2 -> v1 is a cycle
+        "cycle": make_dag(3, [(0, 1), (1, 2), (2, 1)]),
+        "dangling_edge": TaskDag((A, B), (("a", "b"), ("a", "zz")), {("a", "b"): 0.3, ("a", "zz"): 0.3}),
+        "bad_weight": TaskDag((Subtask("a", weight=-5.0), B), (("a", "b"),), {("a", "b"): 0.3}),
+        "missing_coupling": TaskDag((A, B), (("a", "b"),), {}),
+    }
 
-    def test_width_exact_raises(self):
-        with pytest.raises(ValidationError, match="cycle"):
-            width_exact(self.CYCLIC)
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    @pytest.mark.parametrize(
+        "metric",
+        [width_exact, critical_path_depth, topological_layers, compute_metrics],
+        ids=lambda f: f.__name__,
+    )
+    def test_invalid_dag_raises(self, metric, case):
+        dag = self.INVALID[case]
+        with pytest.raises(ValidationError) as ei:
+            metric(dag)
+        assert ei.value.report.violations == validate_dag(dag).violations
+        assert case in {v.kind for v in ei.value.report.violations}
+
+
+class TestIndex:
+    @given(small_dags())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_edges_and_brute_force_levels(self, dag):
+        index = dag.index
+        assert sorted(index.order) == sorted(dag.vertex_ids)
+        for u, v in dag.edges:
+            assert index.position[u] < index.position[v]
+        levels = brute_levels(dag)
+        depth = max(levels.values())
+        expected = [sorted(vid for vid in levels if levels[vid] == lv) for lv in range(1, depth + 1)]
+        assert index.layers == expected
+        for vid in dag.vertex_ids:
+            assert dag.predecessors(vid) == [u for u, v in dag.edges if v == vid]
+
+    def test_built_once_per_dag(self, diamond, validations):
+        assert diamond.index is diamond.index
+        assert len(validations) == 1
+        cut = dataclasses.replace(diamond, edges=diamond.edges[:2])
+        assert cut.index is not diamond.index
+        assert cut.index.layers == [["v0", "v3"], ["v1", "v2"]]
+        assert validations == [diamond, cut]
