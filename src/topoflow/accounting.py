@@ -22,8 +22,6 @@ MICRO_PER_DOLLAR = 10**6
 
 
 class Phase(enum.Enum):
-    DECOMPOSE = "decompose"
-    ROUTE = "route"
     EXECUTE = "execute"
     SYNTHESIZE = "synthesize"
 

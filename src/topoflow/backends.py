@@ -42,7 +42,6 @@ class AgentBackend(ABC):
 
     name: str = "backend"
     model: str = ""
-    max_context_tokens: int = 128_000
 
     @property
     def identity(self) -> str:

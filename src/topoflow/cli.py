@@ -15,7 +15,7 @@ import sys
 from . import convergence, runlog
 from .accounting import CostLedger, Phase, PricingTable, RunReport, format_distribution, topology_distribution
 from .archetypes import ArchetypeKind, DagArchetype
-from .backends import AgentBackend, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
+from .backends import AgentBackend, AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from .convergence import (
     BoundDiverges,
     ConvergenceParams,
@@ -27,7 +27,7 @@ from .convergence import (
     variance_ratio_bound,
 )
 from .dag import DagError, ParseError, ValidationError, ingest, load_dag
-from .execution import ExecutionEngine, ExecutionFailure, embedding_relevance, make_plan
+from .execution import ExecutionEngine, ExecutionFailure, ExecutionTrace, embedding_relevance, make_plan
 from .routing import (
     RouterConfig,
     RoutingDecision,
@@ -134,34 +134,28 @@ def cmd_exec(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
 
     decision = route(dag, config)
-    traces = []
+    log_records: list[dict] = [{"type": "route", **decision.to_record()}]
+    traces: list[ExecutionTrace] = []  # every execution, in run order, failed ones too
+    synth_calls: list[AgentOutput] = []  # merge and arbiter calls, appended as each returns
 
-    def record_execution(trace) -> None:
-        for out in [*trace.ordered_outputs(), *trace.lead.values()]:
-            ledger.record(out, Phase.EXECUTE)
-
-    def execute(topology) -> tuple[list[str], object]:
+    def execute(topology) -> list[str]:
         plan = make_plan(dag, topology, pool, context_budget=int(manifest.get("context_budget", 4000)))
         trace = engine.run(dag, plan)
         traces.append(trace)
-        record_execution(trace)
         texts = [o.text for o in trace.ordered_outputs()]
         if "reconcile" in trace.lead:
             texts.append(trace.lead["reconcile"].text)
-        return texts, trace
+        return texts
 
-    log_records: list[dict] = [{"type": "route", **decision.to_record()}]
+    def reroute(gamma: float):
+        new_decision = route(dag, config, gamma_override=gamma)
+        log_records.append({"type": "route", **new_decision.to_record()})
+        return execute(new_decision.topology), new_decision.topology
+
+    failure = None
     try:
-        texts, trace = execute(decision.topology)
-
-        def reroute(gamma: float):
-            new_decision = route(dag, config, gamma_override=gamma)
-            log_records.append({"type": "route", **new_decision.to_record()})
-            new_texts, _ = execute(new_decision.topology)
-            return new_texts, new_decision.topology
-
         syn = synthesize(
-            texts,
+            execute(decision.topology),
             decision.topology,
             SynthesisConfig(
                 theta_cs=float(manifest.get("theta_cs", 0.8)),
@@ -171,44 +165,39 @@ def cmd_exec(args) -> int:
             arbiter_agent=pool[0],
             reroute=reroute,
             embedder=embedder,
+            calls=synth_calls,
         )
     except ExecutionFailure as exc:
-        record_execution(exc.trace)  # the calls that did complete were paid for
-        runlog.write_json(os.path.join(out_dir, "trace.json"), exc.trace.to_record())
-        runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
-        runlog.write_jsonl(os.path.join(out_dir, "run.log.jsonl"), log_records)
-        print(f"execute: failed vertices {sorted(exc.failed)}", file=sys.stderr)
-        return EXIT_BACKEND
+        traces.append(exc.trace)  # the calls that did complete were paid for
+        failure = f"execute: failed vertices {sorted(exc.failed)}"
     except SynthesisError as exc:
-        for call in exc.agent_calls:  # merge and arbiter calls made before the failure
-            ledger.record(call, Phase.SYNTHESIZE)
-        runlog.write_json(os.path.join(out_dir, "trace.json"), traces[-1].to_record())
-        runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
-        runlog.write_jsonl(os.path.join(out_dir, "run.log.jsonl"), log_records)
-        print(f"synthesize: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
+        failure = f"synthesize: {exc}"
 
-    for call in syn.agent_calls:
+    for trace in traces:
+        for out in [*trace.ordered_outputs(), *trace.lead.values()]:
+            ledger.record(out, Phase.EXECUTE)
+    for call in synth_calls:
         ledger.record(call, Phase.SYNTHESIZE)
-    final_trace = traces[-1]
-    wall = sum(t.wall_clock for t in traces)
-    report = RunReport(
-        total_tokens=ledger.total_tokens,
-        cost_microdollars=ledger.cost_microdollars(),
-        wall_clock=wall,
-        topology=syn.route_trail[-1][1],
-        iterations=syn.iterations,
-    )
-    log_records.append({"type": "synthesis", **syn.to_record()})
-    log_records.append({"type": "run", **report.to_record()})
-
-    runlog.write_json(os.path.join(out_dir, "trace.json"), final_trace.to_record())
+    runlog.write_json(os.path.join(out_dir, "trace.json"), traces[-1].to_record())
     runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
-    runlog.write_json(
-        os.path.join(out_dir, "report.json"),
-        {**report.to_record(), "final_text": syn.final_text, "consistency": syn.consistency},
-    )
+    if failure is None:
+        report = RunReport(
+            total_tokens=ledger.total_tokens,
+            cost_microdollars=ledger.cost_microdollars(),
+            wall_clock=sum(t.wall_clock for t in traces) + sum(c.latency for c in synth_calls),
+            topology=syn.route_trail[-1][1],
+            iterations=syn.iterations,
+        )
+        log_records.append({"type": "synthesis", **syn.to_record()})
+        log_records.append({"type": "run", **report.to_record()})
+        runlog.write_json(
+            os.path.join(out_dir, "report.json"),
+            {**report.to_record(), "final_text": syn.final_text, "consistency": syn.consistency},
+        )
     runlog.write_jsonl(os.path.join(out_dir, "run.log.jsonl"), log_records)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return EXIT_BACKEND
     print(f"topology: {report.topology.value}")
     print(f"iterations: {report.iterations}")
     print(f"total tokens: {report.total_tokens}")

@@ -46,10 +46,6 @@ class DagMetrics:
     edge_count: int
     width_mode: WidthMode = WidthMode.EXACT
 
-    @property
-    def width(self) -> int:
-        return self.width_exact
-
 
 def topological_layers(dag: TaskDag) -> list[set[str]]:
     """Partition vertices into antichain layers by longest-path depth.

@@ -138,16 +138,14 @@ def route(
     start = time.perf_counter()
     metrics = compute_metrics(dag, mode=config.width_mode)
     gamma = metrics.coupling_density if gamma_override is None else gamma_override
-    omega = metrics.width_exact
-    r = omega / metrics.vertex_count if metrics.vertex_count else 0.0
 
     if metrics.edge_count == 0:
         topology, rule = Topology(TopologyKind.PARALLEL), FiredRule.EMPTY_EDGE_SET
-    elif omega == 1:
+    elif metrics.width_exact == 1:
         topology, rule = Topology(TopologyKind.SEQUENTIAL), FiredRule.WIDTH_ONE
     elif gamma > config.theta_gamma and metrics.vertex_count > config.theta_delta:
         topology, rule = Topology(TopologyKind.HIERARCHICAL), FiredRule.HIGH_COUPLING
-    elif r > config.theta_omega and gamma <= config.theta_gamma:
+    elif metrics.parallelism_ratio > config.theta_omega and gamma <= config.theta_gamma:
         topology, rule = Topology(TopologyKind.PARALLEL), FiredRule.WIDE_LOW_COUPLING
     else:
         stages = tuple(frozenset(layer) for layer in dag.index.layers)
@@ -260,16 +258,8 @@ class TopologyRouter:
         """Calibrate theta_gamma from dev DAGs and per-topology quality scores."""
         if len(X) != len(y):
             raise ValueError("X and y must have equal length")
-        chosen, table = calibrate_gamma(
-            list(zip(X, y)),
-            grid=self.grid,
-            config=RouterConfig(
-                theta_omega=self.theta_omega,
-                theta_gamma=self.theta_gamma,
-                theta_delta=self.theta_delta,
-                width_mode=WidthMode(self.width_mode),
-            ),
-        )
+        # calibration replaces theta_gamma, so a fitted theta_gamma_ in the base changes nothing
+        chosen, table = calibrate_gamma(list(zip(X, y)), grid=self.grid, config=self._config())
         self.theta_gamma_ = chosen
         self.calibration_table_ = table
         return self

@@ -13,7 +13,7 @@ import enum
 import hashlib
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -183,7 +183,6 @@ class SynthesisResult:
     route_trail: tuple[tuple[float, TopologyKind], ...]
     escalated: bool
     path: SynthesisPath
-    agent_calls: tuple[AgentOutput, ...] = ()
 
     def to_record(self) -> dict:
         return {
@@ -196,18 +195,11 @@ class SynthesisResult:
 
 
 class SynthesisError(Exception):
-    """Merge or arbiter backend failure; carries the trail accumulated so far
-    and the merge and arbiter calls that completed before it."""
+    """Merge or arbiter backend failure; carries the trail accumulated so far."""
 
-    def __init__(
-        self,
-        message: str,
-        route_trail: tuple[tuple[float, TopologyKind], ...],
-        agent_calls: tuple[AgentOutput, ...] = (),
-    ):
+    def __init__(self, message: str, route_trail: tuple[tuple[float, TopologyKind], ...]):
         super().__init__(message)
         self.route_trail = route_trail
-        self.agent_calls = agent_calls
 
 
 RerouteFn = Callable[[float], tuple[list[str], Topology]]
@@ -221,6 +213,7 @@ def synthesize(
     arbiter_agent: AgentBackend,
     reroute: RerouteFn | None = None,
     embedder: Embedder | None = None,
+    calls: list[AgentOutput] | None = None,
 ) -> SynthesisResult:
     """Adaptive synthesis with bounded re-routing.
 
@@ -228,14 +221,18 @@ def synthesize(
     consistency check picks merge vs arbiter; an arbiter candidate that is
     still inconsistent with the originals triggers a re-route at
     gamma + 0.2 (capped at 1.0) until the iteration bound is exhausted.
+
+    Each merge or arbiter output is appended to ``calls`` as soon as its
+    call returns, tagged ``merge`` or ``arbiter``, so the caller keeps every
+    paid call even when a later call, or a re-route, raises.
     """
     if not outputs:
         raise ValueError("outputs must be nonempty")
     embedder = embedder or HashedEmbedder()
+    calls = [] if calls is None else calls
     bound = iteration_bound(config.gamma0)
     gamma = config.gamma0
     trail: list[tuple[float, TopologyKind]] = []
-    calls: list[AgentOutput] = []
     current_outputs = list(outputs)
     current_topology = topology
     iterations = 0
@@ -252,7 +249,6 @@ def synthesize(
                 route_trail=tuple(trail),
                 escalated=False,
                 path=SynthesisPath.SEQUENTIAL_LAST,
-                agent_calls=tuple(calls),
             )
 
         cs = consistency_score(current_outputs, embedder)
@@ -261,9 +257,7 @@ def synthesize(
             try:
                 merged = merge_agent.invoke(MERGE_PREFIX + joined, "", tag="merge")
             except BackendError as exc:
-                raise SynthesisError(
-                    f"merge agent failed: {exc}", tuple(trail), tuple(calls)
-                ) from exc
+                raise SynthesisError(f"merge agent failed: {exc}", tuple(trail)) from exc
             calls.append(merged.with_subtask("merge"))
             return SynthesisResult(
                 final_text=merged.text,
@@ -272,15 +266,12 @@ def synthesize(
                 route_trail=tuple(trail),
                 escalated=False,
                 path=SynthesisPath.MERGE,
-                agent_calls=tuple(calls),
             )
 
         try:
             candidate = arbiter_agent.invoke(ARBITER_PREFIX + joined, "", tag="arbiter")
         except BackendError as exc:
-            raise SynthesisError(
-                f"arbiter agent failed: {exc}", tuple(trail), tuple(calls)
-            ) from exc
+            raise SynthesisError(f"arbiter agent failed: {exc}", tuple(trail)) from exc
         calls.append(candidate.with_subtask("arbiter"))
         cand_cs = consistency_of_candidate(candidate.text, current_outputs, embedder)
         if cand_cs >= config.theta_cs:
@@ -291,7 +282,6 @@ def synthesize(
                 route_trail=tuple(trail),
                 escalated=True,
                 path=SynthesisPath.ARBITER,
-                agent_calls=tuple(calls),
             )
 
         if iterations >= bound or gamma >= 1.0 or reroute is None:
@@ -302,7 +292,6 @@ def synthesize(
                 route_trail=tuple(trail),
                 escalated=True,
                 path=SynthesisPath.ESCALATED,
-                agent_calls=tuple(calls),
             )
 
         gamma = min(round(gamma + GAMMA_STEP, 9), 1.0)

@@ -84,10 +84,10 @@ class TestCostLedger:
 
     def test_record_shape(self):
         ledger = CostLedger()
-        ledger.record(out("mock:mock", 5, 7), Phase.ROUTE)
+        ledger.record(out("mock:mock", 5, 7), Phase.SYNTHESIZE)
         rec = ledger.to_record()
         assert rec["total_tokens"] == 12
-        assert rec["entries"][0]["phase"] == "route"
+        assert rec["entries"][0]["phase"] == "synthesize"
         assert rec["pricing_as_of"] == "2026-01-15"
 
 

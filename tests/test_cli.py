@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -24,6 +25,35 @@ def write_manifest(tmp_path, **overrides):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return str(path)
+
+
+def write_fixture(tmp_path, **entries):
+    """The diamond's scripted fixture with some entries replaced; returns its path."""
+    with open(os.path.join(FIXTURES, "scripted.json"), encoding="utf-8") as fh:
+        fixture = json.load(fh)
+    fixture.update(entries)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture))
+    return str(path)
+
+
+def lead_failure_manifest(tmp_path):
+    """8 strongly coupled vertices route hierarchical; the lead's reconcile
+    call fails after assign and all 8 sub-agent calls."""
+    dag = [{"id": "v0", "description": "plan", "depends_on": [], "coupling": "strong"}]
+    dag += [
+        {"id": f"v{i}", "description": f"part {i}", "depends_on": ["v0"], "coupling": "strong"}
+        for i in range(1, 7)
+    ]
+    dag.append({"id": "v7", "description": "join", "depends_on": [f"v{i}" for i in range(1, 7)],
+                "coupling": "strong"})
+    (tmp_path / "dag.json").write_text(json.dumps(dag))
+    fixture = {"lead:reconcile": {"fail": True},
+               "default": {"text": "done", "prompt_tokens": 11, "completion_tokens": 4}}
+    (tmp_path / "fixture.json").write_text(json.dumps(fixture))
+    return write_manifest(
+        tmp_path, dag=str(tmp_path / "dag.json"), backend=f"scripted:{tmp_path / 'fixture.json'}"
+    )
 
 
 class TestRoute:
@@ -99,13 +129,7 @@ class TestExec:
         assert main(["exec", manifest]) == 2
 
     def test_exec_backend_failure_exits_4_with_partial_artifacts(self, tmp_path, capsys):
-        fixture = json.loads(
-            open(os.path.join(FIXTURES, "scripted.json"), encoding="utf-8").read()
-        )
-        fixture["v1"] = {"fail": True}
-        broken = tmp_path / "broken.json"
-        broken.write_text(json.dumps(fixture))
-        manifest = write_manifest(tmp_path, backend=f"scripted:{broken}")
+        manifest = write_manifest(tmp_path, backend="scripted:" + write_fixture(tmp_path, v1={"fail": True}))
         rc = main(["exec", manifest])
         assert rc == 4
         assert (tmp_path / "out" / "trace.json").exists()
@@ -135,22 +159,7 @@ class TestExec:
         assert ledger["total_tokens"] == 15
 
     def test_exec_lead_failure_keeps_artifacts(self, tmp_path, capsys):
-        # 8 strongly coupled vertices route hierarchical; the lead's
-        # reconcile call fails after assign and all 8 sub-agent calls
-        dag = [{"id": "v0", "description": "plan", "depends_on": [], "coupling": "strong"}]
-        dag += [
-            {"id": f"v{i}", "description": f"part {i}", "depends_on": ["v0"], "coupling": "strong"}
-            for i in range(1, 7)
-        ]
-        dag.append({"id": "v7", "description": "join", "depends_on": [f"v{i}" for i in range(1, 7)],
-                    "coupling": "strong"})
-        (tmp_path / "dag.json").write_text(json.dumps(dag))
-        fixture = {"lead:reconcile": {"fail": True},
-                   "default": {"text": "done", "prompt_tokens": 11, "completion_tokens": 4}}
-        (tmp_path / "fixture.json").write_text(json.dumps(fixture))
-        manifest = write_manifest(
-            tmp_path, dag=str(tmp_path / "dag.json"), backend=f"scripted:{tmp_path / 'fixture.json'}"
-        )
+        manifest = lead_failure_manifest(tmp_path)
         assert main(["exec", manifest]) == 4
         out = tmp_path / "out"
         trace = json.loads((out / "trace.json").read_text())
@@ -164,12 +173,7 @@ class TestExec:
         assert not (out / "report.json").exists()
 
     def test_exec_synthesis_failure_writes_trace(self, tmp_path, capsys):
-        fixture = json.loads(
-            open(os.path.join(FIXTURES, "scripted.json"), encoding="utf-8").read()
-        )
-        fixture["arbiter"] = {"fail": True}
-        (tmp_path / "fixture.json").write_text(json.dumps(fixture))
-        manifest = write_manifest(tmp_path, backend=f"scripted:{tmp_path / 'fixture.json'}")
+        manifest = write_manifest(tmp_path, backend="scripted:" + write_fixture(tmp_path, arbiter={"fail": True}))
         assert main(["exec", manifest]) == 4
         out = tmp_path / "out"
         for name in ("trace.json", "ledger.json", "run.log.jsonl"):
@@ -177,6 +181,7 @@ class TestExec:
         trace = json.loads((out / "trace.json").read_text())
         assert sorted(trace["outputs"]) == ["v0", "v1", "v2", "v3"]
         assert not (out / "report.json").exists()
+
     def test_exec_synthesis_failure_keeps_paid_synthesis_calls(self, tmp_path, capsys, monkeypatch):
         # the diamond arbitrates and re-routes; the arbiter answers on the
         # first synthesis pass and fails on the second
@@ -198,6 +203,38 @@ class TestExec:
         assert [phase for _, _, phase in entries] == ["execute"] * 8 + ["synthesize"]
         assert entries[-1] == (130, 30, "synthesize")
 
+    def test_exec_reroute_failure_keeps_arbiter_call(self, tmp_path, capsys, monkeypatch):
+        # the diamond arbitrates and re-routes; v1 fails on its second call,
+        # in the re-route's execution, after the arbiter call was paid for
+        invoke = ScriptedBackend.invoke
+        v1_calls = []
+
+        def flaky_v1(self, instruction, context, *, tag=None):
+            if tag == "v1":
+                v1_calls.append(tag)
+                if len(v1_calls) == 2:
+                    raise BackendError("scripted v1 outage")
+            return invoke(self, instruction, context, tag=tag)
+
+        monkeypatch.setattr(ScriptedBackend, "invoke", flaky_v1)
+        assert main(["exec", write_manifest(tmp_path)]) == 4
+        ledger = json.loads((tmp_path / "out" / "ledger.json").read_text())
+        entries = [(e["prompt_tokens"], e["completion_tokens"], e["phase"]) for e in ledger["entries"]]
+        assert len(v1_calls) == 2
+        assert [phase for _, _, phase in entries] == ["execute"] * 6 + ["synthesize"]
+        assert entries[-1] == (130, 30, "synthesize")
+
+    def test_exec_wall_clock_counts_synthesis_calls(self, tmp_path, capsys):
+        # three hybrid executions of 0.3 s each, and three 0.1 s arbiter calls
+        assert main(["exec", write_manifest(tmp_path)]) == 0
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        ledger = json.loads((out / "ledger.json").read_text())
+        records, _ = read_jsonl(str(out / "run.log.jsonl"))
+        assert [e["phase"] for e in ledger["entries"]] == ["execute"] * 12 + ["synthesize"] * 3
+        assert report["iterations"] == 3
+        assert report["wall_clock"] == records[-1]["wall_clock"] == pytest.approx(3 * 0.3 + 3 * 0.1)
+
     def test_exec_embeds_each_text_once(self, tmp_path, capsys, monkeypatch):
         # context merging and synthesis share one embedder and its memo
         embed = HashedEmbedder.embed
@@ -210,6 +247,45 @@ class TestExec:
         monkeypatch.setattr(HashedEmbedder, "embed", counting_embed)
         assert main(["exec", write_manifest(tmp_path)]) == 0
         assert texts and len(texts) == len(set(texts))
+
+
+# sha256 of the exec artefacts of each case, recorded before the three exits
+# of ``cmd_exec`` became one.  The success case's run log and report are not
+# pinned: their ``wall_clock`` now counts the merge and arbiter calls.
+EXEC_ARTEFACT_DIGESTS = {
+    "arbiter-fail": {
+        "trace.json": "b916e378789ead667c1fb6e7c4678076dccb05cacffd8089a30f8075023e342f",
+        "ledger.json": "c80aacd9edbb8e7a660b658c53d95b0808319bec8d901f3ccdec46095abeac60",
+        "run.log.jsonl": "4c4fea427a01302398cc603622e3963e1062e02af642dc9059cf430a5923ba9c",
+    },
+    "diamond": {
+        "trace.json": "b916e378789ead667c1fb6e7c4678076dccb05cacffd8089a30f8075023e342f",
+        "ledger.json": "1892c9946a1ff884a0817e2353b959cec348964ef77d49eab20df509763b6b8f",
+    },
+    "execute-fail": {
+        "trace.json": "846bef032ac9f374f841fa27a320b1cb6318507b6f6836e6044059b36f0eb7ce",
+        "ledger.json": "a8248b80a74ddd662e5d3c27bc07e434f7796853659cf2aecfeb6bb3ad7f27fb",
+        "run.log.jsonl": "4c4fea427a01302398cc603622e3963e1062e02af642dc9059cf430a5923ba9c",
+    },
+    "lead-fail": {
+        "trace.json": "35f4112a9f4115314b89bbdbf754d6f2edb9d0718a024e620e1362eb084d34fd",
+        "ledger.json": "a685c539730371f96c02a010b025f032f78c7878b816afe435e3e707f512ce08",
+        "run.log.jsonl": "77fd8be937dc16d74e3da294b76d0d54cc54ceba22982db23766c2022aaa8fa3",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXEC_ARTEFACT_DIGESTS))
+def test_exec_artefacts_pinned(case, tmp_path, capsys):
+    if case == "lead-fail":
+        manifest = lead_failure_manifest(tmp_path)
+    else:
+        entries = {"arbiter-fail": {"arbiter": {"fail": True}}, "execute-fail": {"v1": {"fail": True}}}
+        manifest = write_manifest(tmp_path, backend="scripted:" + write_fixture(tmp_path, **entries.get(case, {})))
+    assert main(["exec", manifest]) == (0 if case == "diamond" else 4)
+    pinned = EXEC_ARTEFACT_DIGESTS[case]
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in pinned}
+    assert digests == pinned
 
 
 class TestRatio:

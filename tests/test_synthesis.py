@@ -296,12 +296,13 @@ class TestSynthesize:
 
     def test_backend_failure_raises_synthesis_error(self):
         broken = ScriptedBackend({"merge": {"text": "x", "fail": True}})
+        calls = []
         with pytest.raises(SynthesisError) as exc_info:
             synthesize(
-                ["same", "same"], PARALLEL, SynthesisConfig(), broken, scripted(),
+                ["same", "same"], PARALLEL, SynthesisConfig(), broken, scripted(), calls=calls,
             )
         assert exc_info.value.route_trail == ((0.0, TopologyKind.PARALLEL),)
-        assert exc_info.value.agent_calls == ()
+        assert calls == []
 
     def test_empty_outputs_rejected(self):
         with pytest.raises(ValueError):
