@@ -50,9 +50,7 @@ from .routing import (
     FiredRule,
     RouterConfig,
     RoutingDecision,
-    Topology,
     TopologyKind,
-    TopologyRouter,
     calibrate_gamma,
     route,
     split_dev_test,

@@ -58,9 +58,8 @@ def _load_router_config(path: str | None) -> RouterConfig:
 
 def _print_decision(decision: RoutingDecision) -> None:
     m = decision.metrics
-    top = decision.topology
-    stages = f", stages {len(top.stages)}" if top.stages else ""
-    print(f"topology: {top.kind.value}{stages}")
+    stages = f", stages {len(decision.stages)}" if decision.stages else ""
+    print(f"topology: {decision.topology.value}{stages}")
     print(f"fired rule: {decision.fired_rule.value}")
     print(
         f"metrics: omega_exact={m.width_exact} omega_approx={m.width_approx} "

@@ -46,7 +46,6 @@ class ConvergenceParams:
     gamma: float
     k: int
     c_tau: float = DEFAULT_C_TAU
-    lipschitz: float = 1.0
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -57,8 +56,8 @@ class ConvergenceParams:
             raise ValueError(f"gamma {self.gamma} out of [0, 1]")
         if self.k < 1:
             raise ValueError(f"k {self.k} must be a positive integer")
-        if self.c_tau <= 0 or self.lipschitz <= 0:
-            raise ValueError("c_tau and lipschitz must be positive")
+        if self.c_tau <= 0:
+            raise ValueError("c_tau must be positive")
 
 
 def variance_ratio_bound(p: ConvergenceParams) -> float:
@@ -156,7 +155,7 @@ def confusion_matrix(
     if not tasks:
         raise ValueError("tasks must be nonempty")
     return tally_confusion(
-        [(route(dag, config).topology.kind, oracle_route(dag, evaluator)[0]) for dag in tasks]
+        [(route(dag, config).topology, oracle_route(dag, evaluator)[0]) for dag in tasks]
     )
 
 

@@ -13,13 +13,12 @@ import heapq
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from typing import Callable, Sequence
 
 from .backends import AgentBackend, AgentOutput, BackendError
 from .dag import Subtask, TaskDag
-from .routing import Topology, TopologyKind
-from .synthesis import Embedder, HashedEmbedder, _sparse_cosine
+from .routing import TopologyKind
+from .synthesis import Embedder, HashedEmbedder, _sparse_cosine, _template
 from .synthesis import cosine  # noqa: F401  (perfbench's self-test patches this binding)
 
 DEFAULT_CONCURRENCY = 8
@@ -27,12 +26,8 @@ DEFAULT_CONTEXT_BUDGET = 4000
 DEFAULT_RETRIES = 2
 BACKOFF_BASE = 0.5
 
-LEAD_ASSIGN_PREFIX = (
-    resources.files("topoflow.templates").joinpath("lead_assign.txt").read_text(encoding="utf-8")
-)
-LEAD_RECONCILE_PREFIX = (
-    resources.files("topoflow.templates").joinpath("lead_reconcile.txt").read_text(encoding="utf-8")
-)
+LEAD_ASSIGN_PREFIX = _template("lead_assign.txt")
+LEAD_RECONCILE_PREFIX = _template("lead_reconcile.txt")
 
 RelevanceFn = Callable[[str, str], float]
 
@@ -53,7 +48,7 @@ def embedding_relevance(embedder: Embedder | None = None) -> RelevanceFn:
 
 @dataclass(frozen=True)
 class ExecutionPlan:
-    topology: Topology
+    topology: TopologyKind
     assignments: dict[str, AgentBackend]
     order: tuple[tuple[str, ...], ...]  # concurrent groups in sequence
     context_budget: int = DEFAULT_CONTEXT_BUDGET
@@ -124,7 +119,7 @@ def assign_agents(dag: TaskDag, pool: Sequence[AgentBackend]) -> dict[str, Agent
 
 def make_plan(
     dag: TaskDag,
-    topology: Topology,
+    topology: TopologyKind,
     pool: Sequence[AgentBackend],
     *,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
@@ -132,13 +127,11 @@ def make_plan(
     """Build the concrete schedule for a routed topology."""
     index = dag.index
     assignments = assign_agents(dag, pool)
-    if topology.kind is TopologyKind.PARALLEL:
+    if topology is TopologyKind.PARALLEL:
         order: tuple[tuple[str, ...], ...] = (tuple(vid for layer in index.layers for vid in layer),)
-    elif topology.kind is TopologyKind.SEQUENTIAL:
+    elif topology is TopologyKind.SEQUENTIAL:
         order = tuple((vid,) for vid in index.order)
-    elif topology.kind is TopologyKind.HYBRID:
-        order = tuple(tuple(sorted(stage)) for stage in topology.stages)
-    else:  # hierarchical: DAG order, concurrent where independent
+    else:  # hybrid and hierarchical: longest-path layers, each concurrent
         order = tuple(map(tuple, index.layers))
     return ExecutionPlan(
         topology=topology, assignments=assignments, order=order, context_budget=context_budget
@@ -209,7 +202,7 @@ class ExecutionEngine:
         ============  =====================  ======================  ==================
         parallel      one, of all vertices   none                    raise after group
         sequential    one per vertex         its DAG predecessors    stop and raise
-        hybrid        the routed stages      every earlier output    stop and raise
+        hybrid        longest-path layers    every earlier output    stop and raise
         hierarchical  longest-path layers    every earlier output    notice to the lead
         ============  =====================  ======================  ==================
 
@@ -220,7 +213,7 @@ class ExecutionEngine:
         at once, with its tag (``lead:assign`` or ``lead:reconcile``) among
         the failures.  "Raise" is ``ExecutionFailure`` with the partial trace.
         """
-        kind = plan.topology.kind
+        kind = plan.topology
         hierarchical = kind is TopologyKind.HIERARCHICAL
         trace = ExecutionTrace()
         glob = (

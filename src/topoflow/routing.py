@@ -18,7 +18,7 @@ import enum
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dag import TaskDag
 from .metrics import DagMetrics, WidthMode, compute_metrics
@@ -44,16 +44,6 @@ TOPOLOGY_ORDER = (
     TopologyKind.HIERARCHICAL,
     TopologyKind.HYBRID,
 )
-
-
-@dataclass(frozen=True)
-class Topology:
-    kind: TopologyKind
-    stages: tuple[frozenset[str], ...] | None = None
-
-    def __post_init__(self):
-        if (self.kind is TopologyKind.HYBRID) != (self.stages is not None):
-            raise ValueError("stages must be present exactly when kind is HYBRID")
 
 
 class FiredRule(enum.Enum):
@@ -97,16 +87,18 @@ class RouterConfig:
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    topology: Topology
+    topology: TopologyKind
     metrics: DagMetrics
     fired_rule: FiredRule
     elapsed: float  # seconds
     gamma_used: float
+    # for the record only: the DAG's longest-path layers when the route is hybrid
+    stages: tuple[tuple[str, ...], ...] | None = None
 
     def to_record(self) -> dict:
         return {
-            "topology": self.topology.kind.value,
-            "stages": [sorted(s) for s in self.topology.stages] if self.topology.stages else None,
+            "topology": self.topology.value,
+            "stages": [list(s) for s in self.stages] if self.stages else None,
             "fired_rule": self.fired_rule.value,
             "gamma_used": self.gamma_used,
             "metrics": {
@@ -140,16 +132,16 @@ def route(
     gamma = metrics.coupling_density if gamma_override is None else gamma_override
 
     if metrics.edge_count == 0:
-        topology, rule = Topology(TopologyKind.PARALLEL), FiredRule.EMPTY_EDGE_SET
+        topology, rule = TopologyKind.PARALLEL, FiredRule.EMPTY_EDGE_SET
     elif metrics.width_exact == 1:
-        topology, rule = Topology(TopologyKind.SEQUENTIAL), FiredRule.WIDTH_ONE
+        topology, rule = TopologyKind.SEQUENTIAL, FiredRule.WIDTH_ONE
     elif gamma > config.theta_gamma and metrics.vertex_count > config.theta_delta:
-        topology, rule = Topology(TopologyKind.HIERARCHICAL), FiredRule.HIGH_COUPLING
+        topology, rule = TopologyKind.HIERARCHICAL, FiredRule.HIGH_COUPLING
     elif metrics.parallelism_ratio > config.theta_omega and gamma <= config.theta_gamma:
-        topology, rule = Topology(TopologyKind.PARALLEL), FiredRule.WIDE_LOW_COUPLING
+        topology, rule = TopologyKind.PARALLEL, FiredRule.WIDE_LOW_COUPLING
     else:
-        stages = tuple(frozenset(layer) for layer in dag.index.layers)
-        topology, rule = Topology(TopologyKind.HYBRID, stages=stages), FiredRule.HYBRID_DEFAULT
+        topology, rule = TopologyKind.HYBRID, FiredRule.HYBRID_DEFAULT
+    stages = tuple(map(tuple, dag.index.layers)) if topology is TopologyKind.HYBRID else None
 
     elapsed = time.perf_counter() - start
     return RoutingDecision(
@@ -158,6 +150,7 @@ def route(
         fired_rule=rule,
         elapsed=elapsed,
         gamma_used=gamma,
+        stages=stages,
     )
 
 
@@ -178,7 +171,6 @@ def split_dev_test(
 def calibrate_gamma(
     dev_tasks: list[tuple[TaskDag, dict[TopologyKind, float]]],
     grid: tuple[float, ...] = CALIBRATION_GRID,
-    config: RouterConfig | None = None,
 ) -> tuple[float, dict[float, float]]:
     """Grid-search theta_gamma on dev tasks with per-topology quality scores.
 
@@ -190,14 +182,12 @@ def calibrate_gamma(
         raise ValueError("dev_tasks must be nonempty")
     if not grid:
         raise ValueError("grid must be nonempty")
-    base = config or RouterConfig()
     table: dict[float, float] = {}
     for candidate in grid:
-        cfg = replace(base, theta_gamma=candidate)
+        cfg = RouterConfig(theta_gamma=candidate)
         total = 0.0
         for dag, scores in dev_tasks:
-            decision = route(dag, cfg)
-            total += scores[decision.topology.kind]
+            total += scores[route(dag, cfg).topology]
         table[candidate] = total / len(dev_tasks)
 
     def rank(candidate: float) -> tuple[float, int, float]:
@@ -205,67 +195,3 @@ def calibrate_gamma(
 
     chosen = max(grid, key=rank)
     return chosen, table
-
-
-class TopologyRouter:
-    """Estimator-style wrapper: ``fit`` calibrates theta_gamma, ``predict`` routes.
-
-    Follows the scikit-learn parameter protocol (``get_params`` /
-    ``set_params``, trailing-underscore fitted attributes) so it can sit in
-    ecosystem tooling, without depending on scikit-learn itself.
-    """
-
-    def __init__(
-        self,
-        theta_omega: float = DEFAULT_THETA_OMEGA,
-        theta_gamma: float = DEFAULT_THETA_GAMMA,
-        theta_delta: int = DEFAULT_THETA_DELTA,
-        width_mode: str = "approximate",
-        grid: tuple[float, ...] = CALIBRATION_GRID,
-    ):
-        self.theta_omega = theta_omega
-        self.theta_gamma = theta_gamma
-        self.theta_delta = theta_delta
-        self.width_mode = width_mode
-        self.grid = grid
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {
-            "theta_omega": self.theta_omega,
-            "theta_gamma": self.theta_gamma,
-            "theta_delta": self.theta_delta,
-            "width_mode": self.width_mode,
-            "grid": self.grid,
-        }
-
-    def set_params(self, **params) -> "TopologyRouter":
-        for key, value in params.items():
-            if key not in self.get_params():
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def _config(self) -> RouterConfig:
-        gamma = getattr(self, "theta_gamma_", self.theta_gamma)
-        return RouterConfig(
-            theta_omega=self.theta_omega,
-            theta_gamma=gamma,
-            theta_delta=self.theta_delta,
-            width_mode=WidthMode(self.width_mode),
-        )
-
-    def fit(self, X: list[TaskDag], y: list[dict[TopologyKind, float]]) -> "TopologyRouter":
-        """Calibrate theta_gamma from dev DAGs and per-topology quality scores."""
-        if len(X) != len(y):
-            raise ValueError("X and y must have equal length")
-        # calibration replaces theta_gamma, so a fitted theta_gamma_ in the base changes nothing
-        chosen, table = calibrate_gamma(list(zip(X, y)), grid=self.grid, config=self._config())
-        self.theta_gamma_ = chosen
-        self.calibration_table_ = table
-        return self
-
-    def route(self, dag: TaskDag, *, gamma_override: float | None = None) -> RoutingDecision:
-        return route(dag, self._config(), gamma_override=gamma_override)
-
-    def predict(self, X: list[TaskDag]) -> list[TopologyKind]:
-        return [self.route(dag).topology.kind for dag in X]

@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 from .backends import AgentBackend, AgentOutput, BackendError
-from .routing import Topology, TopologyKind
+from .routing import TopologyKind
 
 GAMMA_STEP = 0.2
 DEFAULT_THETA_CS = 0.8
@@ -181,7 +181,6 @@ class SynthesisResult:
     consistency: float
     iterations: int
     route_trail: tuple[tuple[float, TopologyKind], ...]
-    escalated: bool
     path: SynthesisPath
 
     def to_record(self) -> dict:
@@ -189,7 +188,7 @@ class SynthesisResult:
             "consistency": self.consistency,
             "iterations": self.iterations,
             "route_trail": [[g, k.value] for g, k in self.route_trail],
-            "escalated": self.escalated,
+            "escalated": self.path in (SynthesisPath.ARBITER, SynthesisPath.ESCALATED),
             "path": self.path.value,
         }
 
@@ -202,12 +201,12 @@ class SynthesisError(Exception):
         self.route_trail = route_trail
 
 
-RerouteFn = Callable[[float], tuple[list[str], Topology]]
+RerouteFn = Callable[[float], tuple[list[str], TopologyKind]]
 
 
 def synthesize(
     outputs: list[str],
-    topology: Topology,
+    topology: TopologyKind,
     config: SynthesisConfig,
     merge_agent: AgentBackend,
     arbiter_agent: AgentBackend,
@@ -239,15 +238,14 @@ def synthesize(
 
     while True:
         iterations += 1
-        trail.append((gamma, current_topology.kind))
+        trail.append((gamma, current_topology))
 
-        if current_topology.kind is TopologyKind.SEQUENTIAL:
+        if current_topology is TopologyKind.SEQUENTIAL:
             return SynthesisResult(
                 final_text=current_outputs[-1],
                 consistency=consistency_score(current_outputs, embedder),
                 iterations=iterations,
                 route_trail=tuple(trail),
-                escalated=False,
                 path=SynthesisPath.SEQUENTIAL_LAST,
             )
 
@@ -264,7 +262,6 @@ def synthesize(
                 consistency=cs,
                 iterations=iterations,
                 route_trail=tuple(trail),
-                escalated=False,
                 path=SynthesisPath.MERGE,
             )
 
@@ -280,7 +277,6 @@ def synthesize(
                 consistency=cand_cs,
                 iterations=iterations,
                 route_trail=tuple(trail),
-                escalated=True,
                 path=SynthesisPath.ARBITER,
             )
 
@@ -290,7 +286,6 @@ def synthesize(
                 consistency=cand_cs,
                 iterations=iterations,
                 route_trail=tuple(trail),
-                escalated=True,
                 path=SynthesisPath.ESCALATED,
             )
 

@@ -34,7 +34,7 @@ from topoflow.convergence import (
 )
 from topoflow.execution import ExecutionEngine, make_plan
 from topoflow.metrics import WidthMode, compute_metrics, topological_layers
-from topoflow.routing import TOPOLOGY_ORDER, RouterConfig, Topology, TopologyKind, route
+from topoflow.routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind, route
 from topoflow.synthesis import (
     FixtureEmbedder,
     HashedEmbedder,
@@ -126,7 +126,7 @@ def test_criterion_3_exhaustive_routing_agreement():
             crng = random.Random(n * 1_000_003 + bits)
             couplings = [crng.choice(levels) for _ in edges]
             dag = make_dag(n, edges, couplings=couplings)
-            got = route(dag, cfg).topology.kind
+            got = route(dag, cfg).topology
             want = _reference_route(dag, cfg)
             checked += 1
             if got is not want:
@@ -150,7 +150,7 @@ def test_criterion_3_exhaustive_routing_agreement():
 
 def test_criterion_4_iteration_bound_under_failing_arbiter():
     emb = FixtureEmbedder({"a": [1.0, 0.0], "b": [0.0, 1.0], "bad": [-1.0, 0.0]})
-    parallel = Topology(TopologyKind.PARALLEL)
+    parallel = TopologyKind.PARALLEL
     worst = []
     for g10 in range(11):
         gamma0 = g10 / 10
@@ -207,8 +207,8 @@ def test_criterion_6_parallel_speedup():
     )
     pool = [MockBackend(latency=0.1)]
     engine = ExecutionEngine(concurrency_limit=8, clock="virtual")
-    seq = engine.run(dag, make_plan(dag, Topology(TopologyKind.SEQUENTIAL), pool))
-    par = engine.run(dag, make_plan(dag, Topology(TopologyKind.PARALLEL), pool))
+    seq = engine.run(dag, make_plan(dag, TopologyKind.SEQUENTIAL, pool))
+    par = engine.run(dag, make_plan(dag, TopologyKind.PARALLEL, pool))
     speedup = seq.wall_clock / par.wall_clock
     m = compute_metrics(dag)
     floor = 0.9 * sum(v.weight for v in dag.vertices) / m.depth  # 0.9 * (sum w / delta) = 4.05
@@ -254,7 +254,7 @@ def test_hybrid_exec_and_consistency_latency():
     ))
     stages = tuple(frozenset(layer) for layer in topological_layers(dag))
     pool = [MockBackend(f"mock{i}") for i in range(3)]
-    plan = make_plan(dag, Topology(TopologyKind.HYBRID, stages=stages), pool)
+    plan = make_plan(dag, TopologyKind.HYBRID, pool)
     trace = ExecutionEngine(clock="virtual", task_text="gate").run(dag, plan)
     score = consistency_score([o.text for o in trace.ordered_outputs()], HashedEmbedder())
     elapsed = time.perf_counter() - t0

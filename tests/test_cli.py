@@ -249,9 +249,10 @@ class TestExec:
         assert texts and len(texts) == len(set(texts))
 
 
-# sha256 of the exec artefacts of each case, recorded before the three exits
-# of ``cmd_exec`` became one.  The success case's run log and report are not
-# pinned: their ``wall_clock`` now counts the merge and arbiter calls.
+# sha256 of the exec artefacts of each case.  The failure cases were recorded
+# before the three exits of ``cmd_exec`` became one; the success case, whose
+# synthesis escalates, was recorded after its ``wall_clock`` came to count the
+# merge and arbiter calls.
 EXEC_ARTEFACT_DIGESTS = {
     "arbiter-fail": {
         "trace.json": "b916e378789ead667c1fb6e7c4678076dccb05cacffd8089a30f8075023e342f",
@@ -261,6 +262,8 @@ EXEC_ARTEFACT_DIGESTS = {
     "diamond": {
         "trace.json": "b916e378789ead667c1fb6e7c4678076dccb05cacffd8089a30f8075023e342f",
         "ledger.json": "1892c9946a1ff884a0817e2353b959cec348964ef77d49eab20df509763b6b8f",
+        "report.json": "aa764e666d99ae3febb9db07afdfd3183e3f7e64a2d7efb3c4181b16aa13abb6",
+        "run.log.jsonl": "b6a172c90c1a2f889688198fc76e40114a1e121e8d104ff1359eb110c04d33ce",
     },
     "execute-fail": {
         "trace.json": "846bef032ac9f374f841fa27a320b1cb6318507b6f6836e6044059b36f0eb7ce",
@@ -286,6 +289,63 @@ def test_exec_artefacts_pinned(case, tmp_path, capsys):
     pinned = EXEC_ARTEFACT_DIGESTS[case]
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in pinned}
     assert digests == pinned
+
+
+# (id, depends_on, coupling) of a small DAG per topology it routes to
+ROUTE_DAGS = {
+    "parallel": [("a", [], "none"), *((f"b{i}", ["a"], "weak") for i in range(4))],
+    "sequential": [("a", [], "none"), ("b", ["a"], "strong"), ("c", ["b"], "weak")],
+    "hierarchical": [
+        ("a", [], "none"),
+        *((f"b{i}", ["a"], "strong") for i in range(5)),
+        ("c", [f"b{i}" for i in range(5)], "strong"),
+    ],
+    "hybrid": [
+        ("a", [], "none"), ("z", ["a"], "weak"), ("y", ["a"], "weak"),
+        ("x", ["z", "y"], "strong"), ("w", ["x"], "weak"),
+    ],
+}
+
+# sha256 of each DAG's ``route --log`` line and of its stdout without the
+# ``elapsed:`` line, the one line that varies between runs
+ROUTE_DIGESTS = {
+    "hierarchical": {
+        "log": "43fd93f96b7741a5357684f3a2a63a4b35bce8644b1752adb03c4e330d012f5e",
+        "stdout": "62fc8b68fb28defbeb71548e553a977533c03a162e67a5e763f7057ec386ec69",
+    },
+    "hybrid": {
+        "log": "cb95c0201a0fbafc61f0339f64f934a3dd0562d08a735a45c9e974cd7aada367",
+        "stdout": "a7d659f31c61c5cd3859cab5f016909e33a7d60246ada2da4476f650c97f09d3",
+    },
+    "parallel": {
+        "log": "b78fb0da17e742cef76a4783889a29ed216032cfb3d5aba7638d4ffc83d1bf52",
+        "stdout": "9ec93db21836a7fd0278669e00c09a9f8f358d3d828e310b6c332f89e7d5fe72",
+    },
+    "sequential": {
+        "log": "30a67cc690bebd1f19deab908ba882db721c13f1e75df3cb9895e3741aa68b2c",
+        "stdout": "20cce3906ac346b127b37b952a7b205d110a294c783d01dd8ffc0e66c5ebecdb",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUTE_DIGESTS))
+def test_route_log_pinned(kind, tmp_path, capsys):
+    dag = tmp_path / "dag.json"
+    dag.write_text(json.dumps([
+        {"id": vid, "description": f"do {vid}", "depends_on": deps, "coupling": coupling,
+         "estimated_tokens": 100}
+        for vid, deps, coupling in ROUTE_DAGS[kind]
+    ]))
+    log = tmp_path / "route.jsonl"
+    assert main(["route", str(dag), "--log", str(log)]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    stdout = "".join(line for line in lines if not line.startswith("elapsed:"))
+    assert stdout.startswith(f"topology: {kind}")
+    digests = {
+        "log": hashlib.sha256(log.read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+    }
+    assert digests == ROUTE_DIGESTS[kind]
 
 
 class TestRatio:

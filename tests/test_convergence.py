@@ -136,7 +136,7 @@ class TestConfusionMatrix:
         from topoflow.routing import route
 
         def aligned(dag):
-            routed = route(dag, RouterConfig()).topology.kind
+            routed = route(dag, RouterConfig()).topology
             return {k: (1.0 if k is routed else 0.0) for k in TOPOLOGY_ORDER}
 
         cm = confusion_matrix(tasks, RouterConfig(), aligned)

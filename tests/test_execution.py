@@ -16,15 +16,15 @@ from topoflow.execution import (
     make_plan,
     merge_context,
 )
-from topoflow.routing import Topology, TopologyKind, route
+from topoflow.routing import TopologyKind, route
 from topoflow.runlog import read_jsonl
 
 from conftest import make_dag
 from test_cli import FIXTURES, write_manifest
 
-PARALLEL = Topology(TopologyKind.PARALLEL)
-SEQUENTIAL = Topology(TopologyKind.SEQUENTIAL)
-HIERARCHICAL = Topology(TopologyKind.HIERARCHICAL)
+PARALLEL = TopologyKind.PARALLEL
+SEQUENTIAL = TopologyKind.SEQUENTIAL
+HIERARCHICAL = TopologyKind.HIERARCHICAL
 
 
 def out(vid, text, tokens=10):
@@ -171,7 +171,7 @@ class TestMakePlan:
         plan = make_plan(diamond, decision.topology, [MockBackend()])
         assert plan.order == (("v0",), ("v1", "v2"), ("v3",))
 
-    @pytest.mark.parametrize("topology", [PARALLEL, HIERARCHICAL])
+    @pytest.mark.parametrize("topology", [PARALLEL, HIERARCHICAL], ids=["topology0", "topology1"])
     def test_layers_the_dag_once(self, diamond, topology, monkeypatch):
         build = dag_module._build_index
         calls = []
@@ -450,7 +450,7 @@ SCHEDULE_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(SCHEDULE_DIGESTS))
 def test_schedule_pinned(case, diamond):
     kind, _, fail = case.partition("-fail-")
-    topology = route(diamond).topology if kind == "hybrid" else Topology(TopologyKind(kind))
+    topology = route(diamond).topology if kind == "hybrid" else TopologyKind(kind)
     pool = [FailOn("m0", fail) if fail else MockBackend("m0"), MockBackend("m1")]
     plan = make_plan(diamond, topology, pool)
     engine = ExecutionEngine(clock="virtual", task_text="pin the schedule")

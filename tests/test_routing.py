@@ -5,12 +5,9 @@ import pytest
 
 from topoflow.metrics import WidthMode, compute_metrics, topological_layers
 from topoflow.routing import (
-    CALIBRATION_GRID,
     FiredRule,
     RouterConfig,
-    Topology,
     TopologyKind,
-    TopologyRouter,
     calibrate_gamma,
     route,
     split_dev_test,
@@ -39,43 +36,43 @@ def reference_route(dag, config):
 class TestForcedBranches:
     def test_empty_edge_set_parallel(self, isolated4):
         d = route(isolated4)
-        assert d.topology.kind is TopologyKind.PARALLEL
+        assert d.topology is TopologyKind.PARALLEL
         assert d.fired_rule is FiredRule.EMPTY_EDGE_SET
 
     def test_width_one_sequential(self, chain3):
         d = route(chain3)
-        assert d.topology.kind is TopologyKind.SEQUENTIAL
+        assert d.topology is TopologyKind.SEQUENTIAL
         assert d.fired_rule is FiredRule.WIDTH_ONE
 
     def test_high_coupling_hierarchical(self):
         # 6 vertices > theta_delta=5, all-critical coupling gamma=1.0 > 0.6
         dag = make_dag(6, [(0, i) for i in range(1, 6)], default_coupling=1.0)
         d = route(dag)
-        assert d.topology.kind is TopologyKind.HIERARCHICAL
+        assert d.topology is TopologyKind.HIERARCHICAL
         assert d.fired_rule is FiredRule.HIGH_COUPLING
 
     def test_wide_low_coupling_parallel(self):
         # omega=8 of 9 -> r~0.89 > 0.5, gamma=0.3 <= 0.6
         dag = make_dag(9, [(0, i) for i in range(1, 9)], default_coupling=0.3)
         d = route(dag)
-        assert d.topology.kind is TopologyKind.PARALLEL
+        assert d.topology is TopologyKind.PARALLEL
         assert d.fired_rule is FiredRule.WIDE_LOW_COUPLING
 
     def test_hybrid_default_diamond(self, diamond):
         d = route(diamond)
-        assert d.topology.kind is TopologyKind.HYBRID
+        assert d.topology is TopologyKind.HYBRID
         assert d.fired_rule is FiredRule.HYBRID_DEFAULT
-        assert [sorted(s) for s in d.topology.stages] == [["v0"], ["v1", "v2"], ["v3"]]
+        assert [sorted(s) for s in d.stages] == [["v0"], ["v1", "v2"], ["v3"]]
 
     def test_strict_comparisons_at_thresholds(self):
         # gamma exactly at theta_gamma must NOT fire hierarchical; r exactly
         # at theta_omega must NOT fire wide-parallel.
         dag = make_dag(6, [(0, i) for i in range(1, 6)], default_coupling=0.6)
         d = route(dag)  # gamma == 0.6 not > 0.6; r = 5/6 > 0.5 and gamma <= 0.6
-        assert d.topology.kind is TopologyKind.PARALLEL
+        assert d.topology is TopologyKind.PARALLEL
         dag2 = make_dag(4, [(0, 1), (0, 2), (1, 3), (2, 3)], default_coupling=0.3)
         d2 = route(dag2)  # omega=2, r = 0.5 not > 0.5 -> hybrid
-        assert d2.topology.kind is TopologyKind.HYBRID
+        assert d2.topology is TopologyKind.HYBRID
 
 
 class TestAgainstReference:
@@ -84,13 +81,13 @@ class TestAgainstReference:
         config = RouterConfig(width_mode=WidthMode.EXACT)
         for _ in range(300):
             dag = random_small_dag(rng)
-            assert route(dag, config).topology.kind is reference_route(dag, config)
+            assert route(dag, config).topology is reference_route(dag, config)
 
     def test_gamma_override(self, diamond):
         dag = make_dag(6, [(0, i) for i in range(1, 6)], default_coupling=0.3)
-        assert route(dag).topology.kind is TopologyKind.PARALLEL
+        assert route(dag).topology is TopologyKind.PARALLEL
         forced = route(dag, gamma_override=0.9)
-        assert forced.topology.kind is TopologyKind.HIERARCHICAL
+        assert forced.topology is TopologyKind.HIERARCHICAL
         assert forced.gamma_used == 0.9
 
     def test_hybrid_stages_are_layers(self):
@@ -98,19 +95,11 @@ class TestAgainstReference:
         for _ in range(100):
             dag = random_small_dag(rng)
             d = route(dag)
-            if d.topology.kind is TopologyKind.HYBRID:
+            if d.topology is TopologyKind.HYBRID:
                 expected = [frozenset(s) for s in topological_layers(dag)]
-                assert list(d.topology.stages) == expected
+                assert [frozenset(s) for s in d.stages] == expected
             else:
-                assert d.topology.stages is None
-
-
-class TestTopologyInvariant:
-    def test_stages_iff_hybrid(self):
-        with pytest.raises(ValueError):
-            Topology(TopologyKind.PARALLEL, stages=(frozenset({"a"}),))
-        with pytest.raises(ValueError):
-            Topology(TopologyKind.HYBRID)
+                assert d.stages is None
 
 
 class TestRouterConfig:
@@ -186,31 +175,3 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_gamma([])
 
-
-class TestTopologyRouterEstimator:
-    def test_params_protocol(self):
-        est = TopologyRouter()
-        params = est.get_params()
-        assert params["theta_gamma"] == 0.6
-        est.set_params(theta_gamma=0.4)
-        assert est.theta_gamma == 0.4
-        with pytest.raises(ValueError):
-            est.set_params(nope=1)
-
-    def test_fit_predict(self):
-        star = make_dag(6, [(0, i) for i in range(1, 6)], default_coupling=0.7)
-        chain = make_dag(3, [(0, 1), (1, 2)])
-        X = [star, chain]
-        y = [
-            {k: (1.0 if k is TopologyKind.HIERARCHICAL else 0.0) for k in TopologyKind},
-            {k: (1.0 if k is TopologyKind.SEQUENTIAL else 0.0) for k in TopologyKind},
-        ]
-        est = TopologyRouter().fit(X, y)
-        assert est.theta_gamma_ in CALIBRATION_GRID
-        assert set(est.calibration_table_) == set(CALIBRATION_GRID)
-        preds = est.predict(X)
-        assert preds == [TopologyKind.HIERARCHICAL, TopologyKind.SEQUENTIAL]
-
-    def test_fit_length_mismatch(self):
-        with pytest.raises(ValueError):
-            TopologyRouter().fit([make_dag(1, [])], [])

@@ -9,7 +9,7 @@ from topoflow import synthesis
 from topoflow.backends import AgentOutput, ScriptedBackend
 from topoflow.dag import Subtask
 from topoflow.execution import embedding_relevance, merge_context
-from topoflow.routing import Topology, TopologyKind
+from topoflow.routing import TopologyKind
 from topoflow.synthesis import (
     ARBITER_PREFIX,
     MERGE_PREFIX,
@@ -25,8 +25,8 @@ from topoflow.synthesis import (
     synthesize,
 )
 
-PARALLEL = Topology(TopologyKind.PARALLEL)
-SEQUENTIAL = Topology(TopologyKind.SEQUENTIAL)
+PARALLEL = TopologyKind.PARALLEL
+SEQUENTIAL = TopologyKind.SEQUENTIAL
 
 
 def scripted(**fixture):
@@ -201,7 +201,7 @@ class TestSynthesize:
         assert result.final_text == "last"
         assert result.path is SynthesisPath.SEQUENTIAL_LAST
         assert result.iterations == 1
-        assert not result.escalated
+        assert not result.to_record()["escalated"]
 
     def test_consistent_outputs_merged(self):
         merge = scripted(merge="merged text")
@@ -239,7 +239,7 @@ class TestSynthesize:
         # candidate cosine to each original = cos(45 deg) ~= 0.707 >= 0.6
         assert result.final_text == "verdict"
         assert result.path is SynthesisPath.ARBITER
-        assert result.escalated
+        assert result.to_record()["escalated"]
 
     def test_reroute_raises_gamma_by_step(self):
         emb = FixtureEmbedder({
@@ -279,7 +279,7 @@ class TestSynthesize:
                 scripted(), scripted(arbiter="bad"), reroute=reroute, embedder=emb,
             )
             assert result.path is SynthesisPath.ESCALATED
-            assert result.escalated
+            assert result.to_record()["escalated"]
             assert result.iterations <= iteration_bound(gamma0)
             assert result.iterations <= 5
 
