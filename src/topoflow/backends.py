@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
@@ -94,21 +95,23 @@ class ScriptedBackend(AgentBackend):
         self.model = "scripted"
         self.fixture = fixture
         self._calls: dict[str, int] = {}
+        self._lock = threading.Lock()
 
     @classmethod
-    def from_file(cls, path: str, name: str = "scripted") -> "ScriptedBackend":
+    def from_file(cls, path: str) -> "ScriptedBackend":
         with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh), name=name)
+            return cls(json.load(fh))
 
     def invoke(self, instruction: str, context: str, *, tag: str | None = None) -> AgentOutput:
         key = tag if tag in self.fixture else "default"
         entry = self.fixture.get(key)
         if entry is None:
             raise BackendError(f"scripted backend has no entry for tag {tag!r}")
-        self._calls[key] = self._calls.get(key, 0) + 1
+        with self._lock:  # wall-clock workers share one backend
+            count = self._calls[key] = self._calls.get(key, 0) + 1
         if entry.get("fail"):
             raise BackendError(f"scripted permanent failure for {tag!r}")
-        if self._calls[key] <= entry.get("fail_times", 0):
+        if count <= entry.get("fail_times", 0):
             raise BackendError(f"scripted transient failure for {tag!r}", transient=True)
         text = entry.get("text", f"scripted output for {tag}")
         return AgentOutput(

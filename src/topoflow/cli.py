@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import convergence, runlog
+from . import convergence, execution, routing, runlog, synthesis
 from .accounting import CostLedger, Phase, PricingTable, RunReport, format_distribution, topology_distribution
 from .archetypes import ArchetypeKind, DagArchetype
 from .backends import AgentBackend, AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
@@ -118,11 +118,10 @@ def cmd_exec(args) -> int:
     offline = manifest["backend"] == "mock" or manifest["backend"].startswith("scripted:")
     embedder = HashedEmbedder()  # one memo for context merging and synthesis
     engine = ExecutionEngine(
-        concurrency_limit=int(manifest.get("concurrency", 8)),
+        concurrency_limit=int(manifest.get("concurrency", execution.DEFAULT_CONCURRENCY)),
         clock="virtual" if offline else "wall",
         task_text=manifest.get("task", ""),
         relevance=embedding_relevance(embedder),
-        lead=pool[0],
     )
     ledger = CostLedger(
         pricing=PricingTable.from_file(resolve(manifest["pricing"]))
@@ -138,7 +137,8 @@ def cmd_exec(args) -> int:
     synth_calls: list[AgentOutput] = []  # merge and arbiter calls, appended as each returns
 
     def execute(topology) -> list[str]:
-        plan = make_plan(dag, topology, pool, context_budget=int(manifest.get("context_budget", 4000)))
+        budget = int(manifest.get("context_budget", execution.DEFAULT_CONTEXT_BUDGET))
+        plan = make_plan(dag, topology, pool, context_budget=budget)
         trace = engine.run(dag, plan)
         traces.append(trace)
         texts = [o.text for o in trace.ordered_outputs()]
@@ -157,11 +157,10 @@ def cmd_exec(args) -> int:
             execute(decision.topology),
             decision.topology,
             SynthesisConfig(
-                theta_cs=float(manifest.get("theta_cs", 0.8)),
+                theta_cs=float(manifest.get("theta_cs", synthesis.DEFAULT_THETA_CS)),
                 gamma0=decision.gamma_used,
             ),
-            merge_agent=pool[0],
-            arbiter_agent=pool[0],
+            pool[0],
             reroute=reroute,
             embedder=embedder,
             calls=synth_calls,
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("route", help="route a DAG file to its execution topology")
     p.add_argument("dag", help="DAG JSON (decomposer records or canonical form)")
     p.add_argument("--config", help="router config JSON")
-    p.add_argument("--log", help="append the routing decision to this JSONL file")
+    p.add_argument("--log", help="write the routing decision to this JSONL file, replacing it")
     p.set_defaults(func=cmd_route)
 
     p = sub.add_parser("exec", help="route, execute, and synthesize per a run manifest")
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--c-tau", type=float, default=0.5, dest="c_tau")
+    p.add_argument("--c-tau", type=float, default=convergence.DEFAULT_C_TAU, dest="c_tau")
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("simulate", help="Monte-Carlo variance simulation on an archetype")
@@ -386,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-search theta_gamma on a dev split")
     p.add_argument("--tasks", help="directory of task JSON files (dag + per-topology scores)")
     p.add_argument("--synthetic", type=int, help="generate N synthetic tasks instead")
-    p.add_argument("--grid", default="0.3,0.4,0.5,0.6,0.7,0.8")
+    p.add_argument("--grid", default=",".join(map(str, routing.CALIBRATION_GRID)))
     p.add_argument("--fraction", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="calibration_out")

@@ -23,6 +23,7 @@ S_STAR = 0.9  # fixed quality anchor; the bound is location-invariant
 DEFAULT_C_TAU = 0.5
 ARBITRATION_PENALTY = 0.05
 CONTEXT_LOSS_RATE = 0.02
+POOL_SIZE = 5  # models per simulated pool; two or more estimate a variance
 
 SIM_METADATA = {
     "quality_model": "assumption_one",
@@ -80,11 +81,7 @@ def topology_quality_gap(p: ConvergenceParams) -> float:
 
 
 def assumption_one_qualities(
-    dag: TaskDag,
-    *,
-    c_tau: float = DEFAULT_C_TAU,
-    base: float = S_STAR,
-    metrics: DagMetrics | None = None,
+    dag: TaskDag, *, base: float = S_STAR, metrics: DagMetrics | None = None
 ) -> dict[TopologyKind, float]:
     """Per-topology quality under the modeled sensitivity.
 
@@ -92,11 +89,12 @@ def assumption_one_qualities(
     loses it at high coupling, with a small context-loss term so that chains
     with coupled edges prefer sequential execution.  Hybrid interpolates by
     stage structure; hierarchical pays a fixed arbitration penalty.  See
-    ``SIM_METADATA`` for the declared formulas.  ``metrics`` is the DAG's
-    exact-width :func:`compute_metrics` when the caller has it.
+    ``SIM_METADATA`` for the declared formulas, with c_tau at
+    ``DEFAULT_C_TAU``.  ``metrics`` is the DAG's exact-width
+    :func:`compute_metrics` when the caller has it.
     """
     m = compute_metrics(dag, mode=WidthMode.EXACT) if metrics is None else metrics
-    gap = c_tau * (m.width_exact - 1) * (1 - m.coupling_density)
+    gap = DEFAULT_C_TAU * (m.width_exact - 1) * (1 - m.coupling_density)
     total = sum(v.weight for v in dag.vertices)
     stage_factor = 1 - (m.depth / total if total else 1.0)
     parallel = base + (gap if m.coupling_density < 0.5 else -gap)
@@ -174,17 +172,17 @@ def format_confusion_matrix(cm: ConfusionMatrix) -> str:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Each trial's DAG has ``archetype``'s kind and size and is seeded from
+    ``seed`` and the trial number, so ``archetype.seed`` is not read."""
+
     archetype: DagArchetype
     epsilon: float
     trials: int = 1000
-    pool_size: int = 5
     seed: int = 42
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.pool_size < 2:
-            raise ValueError("pool_size must be >= 2 to estimate model variance")
 
 
 @dataclass
@@ -235,7 +233,7 @@ def simulate_variance(cfg: SimConfig) -> SimResult:
         )
         m = compute_metrics(dag, mode=WidthMode.EXACT)
         rng = random.Random(dag_seed ^ 0x5EED5C0E)
-        scores = [S_STAR - cfg.epsilon * rng.random() for _ in range(cfg.pool_size)]
+        scores = [S_STAR - cfg.epsilon * rng.random() for _ in range(POOL_SIZE)]
         var_m = statistics.variance(scores)
         quals = assumption_one_qualities(dag, base=scores[0], metrics=m)
         var_t = statistics.variance(quals.values())
@@ -283,9 +281,7 @@ def simulate_variance(cfg: SimConfig) -> SimResult:
     )
 
 
-def make_calibration_corpus(
-    n: int, seed: int = 42, *, size_range: tuple[int, int] = (4, 10)
-) -> list[tuple[TaskDag, dict[TopologyKind, float]]]:
+def make_calibration_corpus(n: int, seed: int = 42) -> list[tuple[TaskDag, dict[TopologyKind, float]]]:
     """Mixed-archetype dev corpus with assumption-one per-topology scores."""
     from .archetypes import ArchetypeKind
 
@@ -294,8 +290,6 @@ def make_calibration_corpus(
     corpus = []
     for i in range(n):
         kind = kinds[i % len(kinds)]
-        lo, hi = size_range
-        size = max(3, rng.randint(lo, hi))
-        dag = generate_archetype(DagArchetype(kind, size, seed=seed * 7919 + i))
+        dag = generate_archetype(DagArchetype(kind, rng.randint(4, 10), seed=seed * 7919 + i))
         corpus.append((dag, assumption_one_qualities(dag)))
     return corpus

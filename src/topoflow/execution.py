@@ -23,7 +23,7 @@ from .synthesis import cosine  # noqa: F401  (perfbench's self-test patches this
 
 DEFAULT_CONCURRENCY = 8
 DEFAULT_CONTEXT_BUDGET = 4000
-DEFAULT_RETRIES = 2
+RETRIES = 2  # transient-failure retries per vertex or lead call
 BACKOFF_BASE = 0.5
 
 LEAD_ASSIGN_PREFIX = _template("lead_assign.txt")
@@ -178,8 +178,6 @@ class ExecutionEngine:
         clock: str = "virtual",
         task_text: str = "",
         relevance: RelevanceFn | None = None,
-        retries: int = DEFAULT_RETRIES,
-        lead: AgentBackend | None = None,
     ):
         if clock not in ("virtual", "wall"):
             raise ValueError(f"clock must be 'virtual' or 'wall', got {clock!r}")
@@ -187,8 +185,6 @@ class ExecutionEngine:
         self.clock = clock
         self.task_text = task_text
         self.relevance = relevance or embedding_relevance()
-        self.retries = retries
-        self.lead = lead
 
     def run(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
         """Run the plan's groups in order, each group's vertices concurrently.
@@ -207,11 +203,12 @@ class ExecutionEngine:
         ============  =====================  ======================  ==================
 
         Parallel ignores edge order and records each edge it ran out of order
-        in ``edge_violations``.  Under hierarchical the lead's assign call
-        comes before the first group and its reconcile call, with a failure
-        notice per failed vertex, after the last; a failed lead call raises
-        at once, with its tag (``lead:assign`` or ``lead:reconcile``) among
-        the failures.  "Raise" is ``ExecutionFailure`` with the partial trace.
+        in ``edge_violations``.  Under hierarchical the lead, the first
+        vertex's backend and so the pool's first, makes an assign call before
+        the first group and a reconcile call, with a failure notice per failed
+        vertex, after the last; a failed lead call raises at once, with its
+        tag (``lead:assign`` or ``lead:reconcile``) among the failures.
+        "Raise" is ``ExecutionFailure`` with the partial trace.
         """
         kind = plan.topology
         hierarchical = kind is TopologyKind.HIERARCHICAL
@@ -222,7 +219,7 @@ class ExecutionEngine:
         ).strip()
         cursor = 0.0
         if hierarchical:
-            lead = self.lead or next(iter(plan.assignments.values()))
+            lead = next(iter(plan.assignments.values()))
             subtask_list = "\n".join(
                 f"- {v.id}: {v.description or v.id}"
                 f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
@@ -274,7 +271,7 @@ class ExecutionEngine:
     def _invoke_with_retry(
         self, backend: AgentBackend, instruction: str, context: str, *, tag: str
     ) -> AgentOutput:
-        attempts = self.retries + 1
+        attempts = RETRIES + 1
         backoff = 0.0
         for attempt in range(attempts):
             try:

@@ -44,11 +44,9 @@ class SparseVector(NamedTuple):
 
 
 class Embedder(ABC):
-    dimension: int
-
     @abstractmethod
     def embed(self, text: str) -> list[float]:
-        """Deterministic fixed-dimension embedding of the text."""
+        """Deterministic fixed-length embedding of the text."""
 
     def sparse(self, text: str) -> SparseVector:
         """``embed(text)`` as a :class:`SparseVector`, embedded once per distinct text.
@@ -95,7 +93,6 @@ class FixtureEmbedder(Embedder):
 
     def __init__(self, vectors: dict[str, list[float]]):
         self.vectors = vectors
-        self.dimension = len(next(iter(vectors.values())))
 
     def embed(self, text: str) -> list[float]:
         return self.vectors[text]
@@ -208,8 +205,7 @@ def synthesize(
     outputs: list[str],
     topology: TopologyKind,
     config: SynthesisConfig,
-    merge_agent: AgentBackend,
-    arbiter_agent: AgentBackend,
+    agent: AgentBackend,
     reroute: RerouteFn | None = None,
     embedder: Embedder | None = None,
     calls: list[AgentOutput] | None = None,
@@ -221,9 +217,10 @@ def synthesize(
     still inconsistent with the originals triggers a re-route at
     gamma + 0.2 (capped at 1.0) until the iteration bound is exhausted.
 
-    Each merge or arbiter output is appended to ``calls`` as soon as its
-    call returns, tagged ``merge`` or ``arbiter``, so the caller keeps every
-    paid call even when a later call, or a re-route, raises.
+    ``agent`` makes both the merge and the arbiter calls.  Each output is
+    appended to ``calls`` as soon as its call returns, tagged ``merge`` or
+    ``arbiter``, so the caller keeps every paid call even when a later call,
+    or a re-route, raises.
     """
     if not outputs:
         raise ValueError("outputs must be nonempty")
@@ -232,62 +229,39 @@ def synthesize(
     bound = iteration_bound(config.gamma0)
     gamma = config.gamma0
     trail: list[tuple[float, TopologyKind]] = []
-    current_outputs = list(outputs)
-    current_topology = topology
-    iterations = 0
+
+    def call(role: str, prefix: str) -> str:
+        try:
+            out = agent.invoke(prefix + "\n---\n".join(outputs), "", tag=role)
+        except BackendError as exc:
+            raise SynthesisError(f"{role} agent failed: {exc}", tuple(trail)) from exc
+        calls.append(out.with_subtask(role))
+        return out.text
 
     while True:
-        iterations += 1
-        trail.append((gamma, current_topology))
-
-        if current_topology is TopologyKind.SEQUENTIAL:
-            return SynthesisResult(
-                final_text=current_outputs[-1],
-                consistency=consistency_score(current_outputs, embedder),
-                iterations=iterations,
-                route_trail=tuple(trail),
-                path=SynthesisPath.SEQUENTIAL_LAST,
-            )
-
-        cs = consistency_score(current_outputs, embedder)
-        joined = "\n---\n".join(current_outputs)
-        if cs >= config.theta_cs:
-            try:
-                merged = merge_agent.invoke(MERGE_PREFIX + joined, "", tag="merge")
-            except BackendError as exc:
-                raise SynthesisError(f"merge agent failed: {exc}", tuple(trail)) from exc
-            calls.append(merged.with_subtask("merge"))
-            return SynthesisResult(
-                final_text=merged.text,
-                consistency=cs,
-                iterations=iterations,
-                route_trail=tuple(trail),
-                path=SynthesisPath.MERGE,
-            )
-
-        try:
-            candidate = arbiter_agent.invoke(ARBITER_PREFIX + joined, "", tag="arbiter")
-        except BackendError as exc:
-            raise SynthesisError(f"arbiter agent failed: {exc}", tuple(trail)) from exc
-        calls.append(candidate.with_subtask("arbiter"))
-        cand_cs = consistency_of_candidate(candidate.text, current_outputs, embedder)
-        if cand_cs >= config.theta_cs:
-            return SynthesisResult(
-                final_text=candidate.text,
-                consistency=cand_cs,
-                iterations=iterations,
-                route_trail=tuple(trail),
-                path=SynthesisPath.ARBITER,
-            )
-
-        if iterations >= bound or gamma >= 1.0 or reroute is None:
-            return SynthesisResult(
-                final_text=candidate.text,
-                consistency=cand_cs,
-                iterations=iterations,
-                route_trail=tuple(trail),
-                path=SynthesisPath.ESCALATED,
-            )
-
+        trail.append((gamma, topology))
+        consistency = consistency_score(outputs, embedder)
+        if topology is TopologyKind.SEQUENTIAL:
+            text, path = outputs[-1], SynthesisPath.SEQUENTIAL_LAST
+            break
+        if consistency >= config.theta_cs:
+            text, path = call("merge", MERGE_PREFIX), SynthesisPath.MERGE
+            break
+        text = call("arbiter", ARBITER_PREFIX)
+        consistency = consistency_of_candidate(text, outputs, embedder)
+        if consistency >= config.theta_cs:
+            path = SynthesisPath.ARBITER
+            break
+        if len(trail) >= bound or gamma >= 1.0 or reroute is None:
+            path = SynthesisPath.ESCALATED
+            break
         gamma = min(round(gamma + GAMMA_STEP, 9), 1.0)
-        current_outputs, current_topology = reroute(gamma)
+        outputs, topology = reroute(gamma)
+
+    return SynthesisResult(
+        final_text=text,
+        consistency=consistency,
+        iterations=len(trail),
+        route_trail=tuple(trail),
+        path=path,
+    )

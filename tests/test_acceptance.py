@@ -159,8 +159,7 @@ def test_criterion_4_iteration_bound_under_failing_arbiter():
             ["a", "b"],
             parallel,
             SynthesisConfig(gamma0=gamma0),
-            merge_agent=ScriptedBackend({}),
-            arbiter_agent=arbiter,
+            agent=arbiter,
             reroute=lambda gamma: (["a", "b"], parallel),
             embedder=emb,
         )

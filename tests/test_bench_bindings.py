@@ -1,17 +1,26 @@
-"""The benchmark's tracer wraps topoflow names from outside; each must exist.
+"""The benchmark calls topoflow from outside; each name and call must fit.
 
-``perfbench/pb_trace.py`` lists the functions and methods it replaces.  A
-name that no longer resolves would break every traced benchmark run, so the
-lists are checked here against the package.
+``perfbench/pb_trace.py`` lists the functions and methods it replaces, and
+``perfbench/pb_worker.py`` builds ``SimConfig`` and ``DagArchetype`` itself.
+A name that no longer resolves, or a call whose arguments a signature no
+longer accepts, would break every benchmark run, so both are checked here
+against the package.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
 
-PB_TRACE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "pb_trace.py")
+from topoflow.archetypes import DagArchetype
+from topoflow.convergence import SimConfig
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+PB_TRACE = os.path.join(PERFBENCH, "pb_trace.py")
+PB_WORKER = os.path.join(PERFBENCH, "pb_worker.py")
 
 
 def load_pb_trace():
@@ -40,3 +49,30 @@ def test_execution_binds_synthesis_cosine():
     from topoflow import execution, synthesis
 
     assert execution.cosine is synthesis.cosine
+
+
+def worker_calls():
+    """(name, positional count, keywords) of each SimConfig or DagArchetype call."""
+    with open(PB_WORKER, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("SimConfig", "DagArchetype"):
+                found.append((name, len(node.args), tuple(k.arg for k in node.keywords)))
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, positional, keywords",
+    [pytest.param(*call, id="-".join([call[0], f"{call[1]}args", *call[2]])) for call in worker_calls()],
+)
+def test_worker_call_binds(name, positional, keywords):
+    cls = {"SimConfig": SimConfig, "DagArchetype": DagArchetype}[name]
+    inspect.signature(cls).bind(*[None] * positional, **dict.fromkeys(keywords))
+
+
+def test_worker_calls_found():
+    assert {name for name, _, _ in worker_calls()} == {"SimConfig", "DagArchetype"}

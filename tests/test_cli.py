@@ -37,9 +37,8 @@ def write_fixture(tmp_path, **entries):
     return str(path)
 
 
-def lead_failure_manifest(tmp_path):
-    """8 strongly coupled vertices route hierarchical; the lead's reconcile
-    call fails after assign and all 8 sub-agent calls."""
+def hierarchical_manifest(tmp_path, backend):
+    """8 strongly coupled vertices, which route hierarchical, on ``backend``."""
     dag = [{"id": "v0", "description": "plan", "depends_on": [], "coupling": "strong"}]
     dag += [
         {"id": f"v{i}", "description": f"part {i}", "depends_on": ["v0"], "coupling": "strong"}
@@ -48,12 +47,16 @@ def lead_failure_manifest(tmp_path):
     dag.append({"id": "v7", "description": "join", "depends_on": [f"v{i}" for i in range(1, 7)],
                 "coupling": "strong"})
     (tmp_path / "dag.json").write_text(json.dumps(dag))
+    return write_manifest(tmp_path, dag=str(tmp_path / "dag.json"), backend=backend)
+
+
+def lead_failure_manifest(tmp_path):
+    """The hierarchical DAG on a scripted backend whose lead reconcile call
+    fails after assign and all 8 sub-agent calls."""
     fixture = {"lead:reconcile": {"fail": True},
                "default": {"text": "done", "prompt_tokens": 11, "completion_tokens": 4}}
     (tmp_path / "fixture.json").write_text(json.dumps(fixture))
-    return write_manifest(
-        tmp_path, dag=str(tmp_path / "dag.json"), backend=f"scripted:{tmp_path / 'fixture.json'}"
-    )
+    return hierarchical_manifest(tmp_path, f"scripted:{tmp_path / 'fixture.json'}")
 
 
 class TestRoute:
@@ -67,10 +70,12 @@ class TestRoute:
 
     def test_route_with_log(self, tmp_path, capsys):
         log = tmp_path / "route.jsonl"
-        rc = main(["route", os.path.join(FIXTURES, "diamond.json"), "--log", str(log)])
-        assert rc == 0
+        for _ in range(2):  # each run replaces the log
+            rc = main(["route", os.path.join(FIXTURES, "diamond.json"), "--log", str(log)])
+            assert rc == 0
         records, skipped = read_jsonl(str(log))
         assert skipped == 0
+        assert len(records) == 1
         assert records[0]["type"] == "route"
         assert records[0]["topology"] == "hybrid"
 
@@ -252,7 +257,8 @@ class TestExec:
 # sha256 of the exec artefacts of each case.  The failure cases were recorded
 # before the three exits of ``cmd_exec`` became one; the success case, whose
 # synthesis escalates, was recorded after its ``wall_clock`` came to count the
-# merge and arbiter calls.
+# merge and arbiter calls.  The hierarchical mock case pins which of its three
+# backends makes the lead and the synthesis calls.
 EXEC_ARTEFACT_DIGESTS = {
     "arbiter-fail": {
         "trace.json": "b916e378789ead667c1fb6e7c4678076dccb05cacffd8089a30f8075023e342f",
@@ -270,6 +276,12 @@ EXEC_ARTEFACT_DIGESTS = {
         "ledger.json": "a8248b80a74ddd662e5d3c27bc07e434f7796853659cf2aecfeb6bb3ad7f27fb",
         "run.log.jsonl": "4c4fea427a01302398cc603622e3963e1062e02af642dc9059cf430a5923ba9c",
     },
+    "hierarchical-mock": {
+        "trace.json": "883385f67f124506cc3da30720e0238035cce1e0534e7252aca708cca2bedc81",
+        "ledger.json": "fd8f1d27e24e46489e332543e9466b5a2b0b6af205ea6079bdbccaf5d7012345",
+        "report.json": "77ac44ddf68b348fcc8e562d931276b84addce2f66ac5f465cdcacd682808b7e",
+        "run.log.jsonl": "250553f07bed91f57109b10cd2afe94efd376377aca9993158b4aa8875513799",
+    },
     "lead-fail": {
         "trace.json": "35f4112a9f4115314b89bbdbf754d6f2edb9d0718a024e620e1362eb084d34fd",
         "ledger.json": "a685c539730371f96c02a010b025f032f78c7878b816afe435e3e707f512ce08",
@@ -282,10 +294,12 @@ EXEC_ARTEFACT_DIGESTS = {
 def test_exec_artefacts_pinned(case, tmp_path, capsys):
     if case == "lead-fail":
         manifest = lead_failure_manifest(tmp_path)
+    elif case == "hierarchical-mock":
+        manifest = hierarchical_manifest(tmp_path, "mock")
     else:
         entries = {"arbiter-fail": {"arbiter": {"fail": True}}, "execute-fail": {"v1": {"fail": True}}}
         manifest = write_manifest(tmp_path, backend="scripted:" + write_fixture(tmp_path, **entries.get(case, {})))
-    assert main(["exec", manifest]) == (0 if case == "diamond" else 4)
+    assert main(["exec", manifest]) == (0 if case in ("diamond", "hierarchical-mock") else 4)
     pinned = EXEC_ARTEFACT_DIGESTS[case]
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in pinned}
     assert digests == pinned

@@ -198,8 +198,6 @@ class TestSimulation:
         arch = DagArchetype(ArchetypeKind.CHAIN, 4)
         with pytest.raises(ValueError):
             SimConfig(archetype=arch, epsilon=0.05, trials=0)
-        with pytest.raises(ValueError):
-            SimConfig(archetype=arch, epsilon=0.05, pool_size=1)
 
 
 class TestCalibrationCorpus:

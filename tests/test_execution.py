@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -65,6 +67,30 @@ class TestBackends:
         with pytest.raises(BackendError) as ei:
             b.invoke("i", "c", tag="v0")
         assert not ei.value.transient
+
+    def test_scripted_fail_times_exact_across_threads(self):
+        # wall-clock workers share one backend; a racy count lets extra calls fail
+        b = ScriptedBackend({"v0": {"text": "ok", "fail_times": 4000}})
+        failures = [0] * 4
+
+        def work(i):
+            for _ in range(2000):
+                try:
+                    b.invoke("i", "c", tag="v0")
+                except BackendError:
+                    failures[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(failures) == 4000
 
 
 class FakeResponse:
@@ -273,7 +299,7 @@ class TestRetries:
         dag = make_dag(1, [])
         backend = ScriptedBackend({"v0": {"text": "ok", "latency": 0.1, "fail_times": 2}})
         plan = make_plan(dag, PARALLEL, [backend])
-        trace = ExecutionEngine(clock="virtual", retries=2).run(dag, plan)
+        trace = ExecutionEngine(clock="virtual").run(dag, plan)
         # backoff 0.5 + 1.0 added to the reported latency
         assert trace.outputs["v0"].latency == pytest.approx(1.6)
 
@@ -282,7 +308,7 @@ class TestRetries:
         backend = ScriptedBackend({"v0": {"text": "ok", "fail_times": 5}})
         plan = make_plan(dag, PARALLEL, [backend])
         with pytest.raises(ExecutionFailure) as ei:
-            ExecutionEngine(clock="virtual", retries=2).run(dag, plan)
+            ExecutionEngine(clock="virtual").run(dag, plan)
         assert set(ei.value.failed) == {"v0"}
 
     def test_permanent_failure_not_retried(self):
@@ -337,11 +363,11 @@ class TestContextFlow:
 class TestHierarchical:
     def test_lead_assign_and_reconcile(self, diamond):
         lead = ScriptedBackend(
-            {"lead:assign": {"text": "plan"}, "lead:reconcile": {"text": "final"}},
+            {"lead:assign": {"text": "plan"}, "lead:reconcile": {"text": "final"}, "default": {"text": "ok"}},
             name="lead",
         )
-        plan = make_plan(diamond, HIERARCHICAL, [MockBackend()])
-        engine = ExecutionEngine(clock="virtual", lead=lead)
+        plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
+        engine = ExecutionEngine(clock="virtual")
         trace = engine.run(diamond, plan)
         assert trace.lead["assign"].text == "plan"
         assert trace.lead["reconcile"].text == "final"
@@ -358,26 +384,29 @@ class TestHierarchical:
                     captured["prompt"] = instruction
                 return super().invoke(instruction, context, tag=tag)
 
-        lead = Lead({"lead:assign": {"text": "p"}, "lead:reconcile": {"text": "f"}})
+        lead = Lead({"lead:assign": {"text": "p"}, "lead:reconcile": {"text": "f"},
+                     "v2": {"fail": True}, "default": {"text": "ok"}})
         sub = ScriptedBackend({"v2": {"fail": True}, "default": {"text": "ok"}})
-        plan = make_plan(diamond, HIERARCHICAL, [sub])
-        trace = ExecutionEngine(clock="virtual", lead=lead).run(diamond, plan)
+        plan = make_plan(diamond, HIERARCHICAL, [lead, sub])
+        trace = ExecutionEngine(clock="virtual").run(diamond, plan)
         assert "FAILURE NOTICE" in captured["prompt"]
         assert "v2" in trace.failures
 
     def test_lead_failure_is_fatal(self, diamond):
         lead = ScriptedBackend({"lead:assign": {"fail": True}})
-        plan = make_plan(diamond, HIERARCHICAL, [MockBackend()])
+        plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
         with pytest.raises(ExecutionFailure) as info:
-            ExecutionEngine(clock="virtual", lead=lead).run(diamond, plan)
+            ExecutionEngine(clock="virtual").run(diamond, plan)
         assert list(info.value.failed) == ["lead:assign"]
         assert info.value.trace.outputs == {} and info.value.trace.lead == {}
 
     def test_reconcile_failure_keeps_partial_trace(self, diamond):
-        lead = ScriptedBackend({"lead:assign": {"text": "plan"}, "lead:reconcile": {"fail": True}})
-        plan = make_plan(diamond, HIERARCHICAL, [MockBackend()])
+        lead = ScriptedBackend(
+            {"lead:assign": {"text": "plan"}, "lead:reconcile": {"fail": True}, "default": {"text": "ok"}}
+        )
+        plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
         with pytest.raises(ExecutionFailure) as info:
-            ExecutionEngine(clock="virtual", lead=lead).run(diamond, plan)
+            ExecutionEngine(clock="virtual").run(diamond, plan)
         trace = info.value.trace
         assert list(info.value.failed) == ["lead:reconcile"]
         assert sorted(trace.outputs) == ["v0", "v1", "v2", "v3"]

@@ -195,8 +195,7 @@ class TestIterationBound:
 class TestSynthesize:
     def test_sequential_returns_last(self):
         result = synthesize(
-            ["first", "last"], SEQUENTIAL, SynthesisConfig(),
-            scripted(), scripted(),
+            ["first", "last"], SEQUENTIAL, SynthesisConfig(), scripted(),
         )
         assert result.final_text == "last"
         assert result.path is SynthesisPath.SEQUENTIAL_LAST
@@ -206,8 +205,7 @@ class TestSynthesize:
     def test_consistent_outputs_merged(self):
         merge = scripted(merge="merged text")
         result = synthesize(
-            ["same words here", "same words here"], PARALLEL, SynthesisConfig(),
-            merge, scripted(),
+            ["same words here", "same words here"], PARALLEL, SynthesisConfig(), merge,
         )
         assert result.final_text == "merged text"
         assert result.path is SynthesisPath.MERGE
@@ -223,7 +221,7 @@ class TestSynthesize:
                 return super().invoke(instruction, context, tag=tag)
 
         merge = Spy({"merge": {"text": "m"}})
-        synthesize(["aaa bbb", "aaa bbb"], PARALLEL, SynthesisConfig(), merge, scripted())
+        synthesize(["aaa bbb", "aaa bbb"], PARALLEL, SynthesisConfig(), merge)
         assert captured["instruction"].startswith(MERGE_PREFIX)
         assert "aaa bbb" in captured["instruction"]
 
@@ -234,7 +232,7 @@ class TestSynthesize:
         arbiter = scripted(arbiter="verdict")
         result = synthesize(
             ["alpha", "omega"], PARALLEL, SynthesisConfig(theta_cs=0.6),
-            scripted(), arbiter, embedder=emb,
+            arbiter, embedder=emb,
         )
         # candidate cosine to each original = cos(45 deg) ~= 0.707 >= 0.6
         assert result.final_text == "verdict"
@@ -254,7 +252,7 @@ class TestSynthesize:
 
         result = synthesize(
             ["alpha", "omega"], PARALLEL, SynthesisConfig(theta_cs=0.8, gamma0=0.3),
-            scripted(), scripted(arbiter="bad"), reroute=reroute, embedder=emb,
+            scripted(arbiter="bad"), reroute=reroute, embedder=emb,
         )
         assert gammas == [0.5]
         assert result.final_text == "resolved"
@@ -276,7 +274,7 @@ class TestSynthesize:
 
             result = synthesize(
                 ["alpha", "omega"], PARALLEL, SynthesisConfig(gamma0=gamma0),
-                scripted(), scripted(arbiter="bad"), reroute=reroute, embedder=emb,
+                scripted(arbiter="bad"), reroute=reroute, embedder=emb,
             )
             assert result.path is SynthesisPath.ESCALATED
             assert result.to_record()["escalated"]
@@ -289,7 +287,7 @@ class TestSynthesize:
         })
         result = synthesize(
             ["alpha", "omega"], PARALLEL, SynthesisConfig(gamma0=0.0),
-            scripted(), scripted(arbiter="bad"), embedder=emb,
+            scripted(arbiter="bad"), embedder=emb,
         )
         assert result.iterations == 1
         assert result.path is SynthesisPath.ESCALATED
@@ -299,14 +297,14 @@ class TestSynthesize:
         calls = []
         with pytest.raises(SynthesisError) as exc_info:
             synthesize(
-                ["same", "same"], PARALLEL, SynthesisConfig(), broken, scripted(), calls=calls,
+                ["same", "same"], PARALLEL, SynthesisConfig(), broken, calls=calls,
             )
         assert exc_info.value.route_trail == ((0.0, TopologyKind.PARALLEL),)
         assert calls == []
 
     def test_empty_outputs_rejected(self):
         with pytest.raises(ValueError):
-            synthesize([], PARALLEL, SynthesisConfig(), scripted(), scripted())
+            synthesize([], PARALLEL, SynthesisConfig(), scripted())
 
     def test_theta_cs_range_checked(self):
         with pytest.raises(ValueError):
