@@ -10,12 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import select
 import threading
 import time
+import urllib.parse
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-
-import requests
+from typing import Any, Callable
 
 
 class BackendError(Exception):
@@ -39,7 +40,7 @@ class AgentOutput:
 
 class AgentBackend(ABC):
     """One agent instance.  ``invoke`` must return or raise, never hang;
-    callers enforce a timeout on the HTTP path."""
+    the HTTP backend bounds each socket operation by ``TIMEOUT_S``."""
 
     name: str = "backend"
     model: str = ""
@@ -127,7 +128,7 @@ class ScriptedBackend(AgentBackend):
 class ProviderSpec:
     url: str
     env_key: str
-    style: str  # "openai" | "anthropic" | "google"
+    style: str  # "openai" | "anthropic"
 
 
 PROVIDERS = {
@@ -149,28 +150,56 @@ PROVIDERS = {
 }
 
 
-class HttpChatBackend(AgentBackend):
-    """Chat-completion HTTP backend (temperature 0.0, provider usage fields)."""
+MAX_TOKENS = 4096  # completion cap sent with every request
+TIMEOUT_S = 120.0  # per socket operation: connect, and each read
 
-    def __init__(
-        self,
-        provider: str,
-        model: str,
-        *,
-        max_tokens: int = 4096,
-        timeout: float = 120.0,
-        url: str | None = None,
-        session: requests.Session | None = None,
-    ):
+
+class HttpChatBackend(AgentBackend):
+    """Chat-completion HTTP backend (temperature 0.0, provider usage fields).
+
+    Each thread posts through its own kept-alive connection from ``connect``, a
+    zero-argument factory of objects with ``request``, ``getresponse``, ``close``
+    and ``sock`` (by default a verified ``http.client.HTTPSConnection``).
+    """
+
+    def __init__(self, provider: str, model: str, *, connect: Callable[[], Any] | None = None):
         if provider not in PROVIDERS:
             raise BackendError(f"unknown provider {provider!r}; expected one of {sorted(PROVIDERS)}")
+        import http.client  # here, so that offline runs load neither it nor ssl
+        import ssl
+
         self.spec = PROVIDERS[provider]
         self.name = provider
         self.model = model
-        self.max_tokens = max_tokens
-        self.timeout = timeout
-        self.url = url or self.spec.url
-        self.session = session or requests.Session()
+        url = urllib.parse.urlsplit(self.spec.url)
+        self._host, self._path = url.hostname, url.path
+        self._transport_errors = (OSError, http.client.HTTPException)  # OSError covers timeouts and TLS
+        self._tls = None if connect else ssl.create_default_context()
+        self._connect = connect or self._https_connection
+        self._local = threading.local()
+
+    def _https_connection(self):
+        """An unopened connection to the provider, through ``HTTPS_PROXY`` unless ``NO_PROXY`` names it."""
+        import http.client
+        import urllib.request
+
+        proxy = urllib.request.getproxies().get("https")
+        if not proxy or urllib.request.proxy_bypass(self._host):
+            return http.client.HTTPSConnection(self._host, timeout=TIMEOUT_S, context=self._tls)
+        parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if parts.scheme != "http" or parts.username is not None:
+            raise BackendError("HTTPS_PROXY must be an http:// URL without credentials")
+        conn = http.client.HTTPSConnection(parts.hostname, parts.port or 80, timeout=TIMEOUT_S, context=self._tls)
+        conn.set_tunnel(self._host)
+        return conn
+
+    def _connection(self):
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+        elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()  # an idle socket polls readable once the server has closed it
+        return conn
 
     def _api_key(self) -> str:
         key = os.environ.get(self.spec.env_key)
@@ -182,7 +211,7 @@ class HttpChatBackend(AgentBackend):
         prompt = instruction if not context else f"{instruction}\n\n{context}"
         payload = {
             "model": self.model,
-            "max_tokens": self.max_tokens,
+            "max_tokens": MAX_TOKENS,
             "temperature": 0.0,
             "messages": [{"role": "user", "content": prompt}],
         }
@@ -197,18 +226,22 @@ class HttpChatBackend(AgentBackend):
                 "Authorization": f"Bearer {self._api_key()}",
                 "Content-Type": "application/json",
             }
+        conn = self._connection()
         start = time.perf_counter()
         try:
-            resp = self.session.post(self.url, headers=headers, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
+            conn.request("POST", self._path, body=json.dumps(payload).encode(), headers=headers)
+            resp = conn.getresponse()
+            status, raw = resp.status, resp.read()  # to its end, so the connection can carry the next request
+        except self._transport_errors as exc:
+            conn.close()  # this thread's next call reconnects
             raise BackendError(f"{self.identity}: request failed: {exc}", transient=True) from exc
         latency = time.perf_counter() - start
-        if resp.status_code in (429, 500, 502, 503, 529):
-            raise BackendError(f"{self.identity}: HTTP {resp.status_code}", transient=True)
-        if resp.status_code != 200:
-            raise BackendError(f"{self.identity}: HTTP {resp.status_code}: {resp.text[:200]}")
+        if status in (429, 500, 502, 503, 529):
+            raise BackendError(f"{self.identity}: HTTP {status}", transient=True)
+        if status != 200:
+            raise BackendError(f"{self.identity}: HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}")
         try:
-            body = resp.json()
+            body = json.loads(raw)
             if self.spec.style == "anthropic":
                 text = "".join(block.get("text", "") for block in body.get("content", []))
                 usage = body.get("usage", {})

@@ -309,14 +309,13 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
         vertices.append(Subtask(id=vid, description=rec["description"], weight=weight, declared_coupling=label))
         declared.add(vid)
 
-    for rec in records:
-        vid = rec["id"]
-        c = coupling_from_label(CouplingLabel(str(rec["coupling"]).lower()))
+    for rec, sub in zip(records, vertices):
+        c = _COUPLING_VALUES[sub.declared_coupling]
         for dep in rec["depends_on"]:
             if dep not in declared:
-                raise ParseError(f"record {vid!r} depends on undeclared id {dep!r}")
-            edges.append((dep, vid))
-            coupling[(dep, vid)] = c
+                raise ParseError(f"record {sub.id!r} depends on undeclared id {dep!r}")
+            edges.append((dep, sub.id))
+            coupling[(dep, sub.id)] = c
 
     dag = TaskDag(vertices=tuple(vertices), edges=tuple(edges), coupling=coupling)
     dag.index  # validates, or raises ValidationError

@@ -271,23 +271,22 @@ class ExecutionEngine:
     def _invoke_with_retry(
         self, backend: AgentBackend, instruction: str, context: str, *, tag: str
     ) -> AgentOutput:
-        attempts = RETRIES + 1
         backoff = 0.0
-        for attempt in range(attempts):
+        for attempt in range(RETRIES):
             try:
                 out = backend.invoke(instruction, context, tag=tag)
-                if backoff:
-                    # retried calls carry their backoff in the reported latency
-                    out = replace(out, latency=out.latency + backoff)
-                return out
+                break
             except BackendError as exc:
-                if not exc.transient or attempt == attempts - 1:
+                if not exc.transient:
                     raise
                 delay = BACKOFF_BASE * (2**attempt)
                 backoff += delay
                 if self.clock == "wall":
                     time.sleep(delay)
-        raise AssertionError("unreachable")
+        else:
+            out = backend.invoke(instruction, context, tag=tag)  # the last attempt: any failure raises
+        # retried calls carry their backoff in the reported latency
+        return replace(out, latency=out.latency + backoff) if backoff else out
 
     def _lead_call(
         self, trace: ExecutionTrace, lead: AgentBackend, phase: str, instruction: str,

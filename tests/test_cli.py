@@ -2,11 +2,14 @@ import hashlib
 import json
 import os
 import shutil
+import socket
+import subprocess
+import sys
 
 import pytest
 
-from topoflow.backends import BackendError, ScriptedBackend
-from topoflow.cli import main
+from topoflow.backends import BackendError, HttpChatBackend, ScriptedBackend
+from topoflow.cli import _make_pool, main
 from topoflow.runlog import read_jsonl
 from topoflow.synthesis import HashedEmbedder
 
@@ -132,6 +135,21 @@ class TestExec:
     def test_exec_missing_dag_file(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, dag=str(tmp_path / "absent.json"))
         assert main(["exec", manifest]) == 2
+
+    def test_exec_unknown_provider_exits_4(self, tmp_path, capsys):
+        manifest = write_manifest(tmp_path, backend="nosuch:model")
+        assert main(["exec", manifest]) == 4
+        assert capsys.readouterr().err.startswith("backend error: unknown provider 'nosuch'")
+
+    def test_provider_model_pool_is_one_unopened_http_backend(self, tmp_path, monkeypatch):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        pool = _make_pool("openai:gpt-4o-mini", str(tmp_path))
+        assert [type(b) for b in pool] == [HttpChatBackend]
+        assert pool[0].identity == "openai:gpt-4o-mini"
+        assert getattr(pool[0]._local, "conn", None) is None
 
     def test_exec_backend_failure_exits_4_with_partial_artifacts(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, backend="scripted:" + write_fixture(tmp_path, v1={"fail": True}))
@@ -479,3 +497,19 @@ class TestReport:
         rc = main(["report", "--logs", str(logs), "--out", str(tmp_path / "rep")])
         assert rc == 0
         assert "corrupt" in capsys.readouterr().err
+
+
+def test_import_loads_only_the_stdlib_and_no_http():
+    # an offline run must not pay for the HTTP stack, nor need any package but topoflow
+    code = (
+        "import sys; before = set(sys.modules); import topoflow, topoflow.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "topoflow.cli" in loaded
+    assert sorted({m.split(".")[0] for m in loaded} - sys.stdlib_module_names - {"topoflow"}) == []
+    assert "http.client" not in loaded and "ssl" not in loaded

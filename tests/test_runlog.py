@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from topoflow.runlog import (
     SCHEMA_VERSION,
     atomic_write,
@@ -23,6 +25,11 @@ class TestAtomicWrite:
         atomic_write(str(p), "two")
         assert p.read_text() == "two"
         assert os.listdir(tmp_path) == ["a.txt"]
+
+    def test_failed_write_leaves_neither_target_nor_temp(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(str(tmp_path / "a.txt"), "\ud800")  # a lone surrogate cannot be encoded
+        assert os.listdir(tmp_path) == []
 
     def test_creates_parent_dirs(self, tmp_path):
         p = tmp_path / "deep" / "nested" / "a.txt"
