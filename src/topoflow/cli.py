@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from . import convergence, execution, routing, runlog, synthesis
 from .accounting import CostLedger, Phase, PricingTable, RunReport, format_distribution, topology_distribution
@@ -96,6 +97,14 @@ def _make_pool(spec: str, base_dir: str) -> list[AgentBackend]:
     raise UsageError(f"unknown backend mode {spec!r}")
 
 
+def _manifest_number(manifest: dict, key: str, default, valid: Callable[[object], bool], expected: str):
+    """``manifest[key]`` (or ``default``) if it is a JSON number that ``valid`` accepts."""
+    value = manifest.get(key, default)
+    if isinstance(value, bool) or not valid(value):
+        raise UsageError(f"manifest field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def cmd_exec(args) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -107,6 +116,18 @@ def cmd_exec(args) -> int:
     for key in ("dag", "backend", "output_dir"):
         if key not in manifest:
             raise UsageError(f"manifest missing field {key!r}")
+    concurrency = _manifest_number(
+        manifest, "concurrency", execution.DEFAULT_CONCURRENCY,
+        lambda v: isinstance(v, int) and v >= 1, "an integer of at least 1",
+    )
+    budget = _manifest_number(
+        manifest, "context_budget", execution.DEFAULT_CONTEXT_BUDGET,
+        lambda v: isinstance(v, int) and v > 0, "a positive integer",
+    )
+    theta_cs = float(_manifest_number(
+        manifest, "theta_cs", synthesis.DEFAULT_THETA_CS,
+        lambda v: isinstance(v, (int, float)) and 0 <= v <= 1, "a number in [0, 1]",
+    ))
     dag_path = resolve(manifest["dag"])
     if not os.path.exists(dag_path):
         raise UsageError(f"dag file not found: {dag_path}")
@@ -118,7 +139,7 @@ def cmd_exec(args) -> int:
     offline = manifest["backend"] == "mock" or manifest["backend"].startswith("scripted:")
     embedder = HashedEmbedder()  # one memo for context merging and synthesis
     engine = ExecutionEngine(
-        concurrency_limit=int(manifest.get("concurrency", execution.DEFAULT_CONCURRENCY)),
+        concurrency_limit=concurrency,
         clock="virtual" if offline else "wall",
         task_text=manifest.get("task", ""),
         relevance=embedding_relevance(embedder),
@@ -137,7 +158,6 @@ def cmd_exec(args) -> int:
     synth_calls: list[AgentOutput] = []  # merge and arbiter calls, appended as each returns
 
     def execute(topology) -> list[str]:
-        budget = int(manifest.get("context_budget", execution.DEFAULT_CONTEXT_BUDGET))
         plan = make_plan(dag, topology, pool, context_budget=budget)
         trace = engine.run(dag, plan)
         traces.append(trace)
@@ -156,10 +176,7 @@ def cmd_exec(args) -> int:
         syn = synthesize(
             execute(decision.topology),
             decision.topology,
-            SynthesisConfig(
-                theta_cs=float(manifest.get("theta_cs", synthesis.DEFAULT_THETA_CS)),
-                gamma0=decision.gamma_used,
-            ),
+            SynthesisConfig(theta_cs=theta_cs, gamma0=decision.gamma_used),
             pool[0],
             reroute=reroute,
             embedder=embedder,
@@ -287,10 +304,17 @@ def cmd_report(args) -> int:
         raise UsageError(f"no .jsonl logs in {args.logs}")
     runs: list[dict] = []
     skipped = 0
+    known = [k.value for k in TopologyKind]
     for f in files:
         recs, bad = runlog.read_jsonl(f)
         skipped += bad
-        runs.extend(r for r in recs if r.get("type") == "run")
+        for r in recs:
+            if r.get("type") != "run":
+                continue
+            if r.get("topology") in known and r.get("oracle_topology", known[0]) in known:
+                runs.append(r)
+            else:
+                skipped += 1  # a run record with no topology, or one this version does not know
     if skipped:
         print(f"warning: skipped {skipped} corrupt log line(s)", file=sys.stderr)
     if not runs:

@@ -1,10 +1,11 @@
 """One scheduler for the four topologies: parallel, sequential, hierarchical, hybrid.
 
 Agent invocations run under a bounded worker limit.  The engine supports two
-clocks: "wall" measures real time with a thread pool, "virtual" executes
-invocations deterministically in schedule order and computes the makespan
-from backend-reported latencies, which keeps traces byte-reproducible with
-mock and scripted backends.
+clocks: "wall" measures real time on one thread pool per run, whose workers
+(and so each worker's backend connection) serve every group; "virtual"
+executes invocations deterministically in schedule order and computes the
+makespan from backend-reported latencies, which keeps traces
+byte-reproducible with mock and scripted backends.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import heapq
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -181,6 +183,8 @@ class ExecutionEngine:
     ):
         if clock not in ("virtual", "wall"):
             raise ValueError(f"clock must be 'virtual' or 'wall', got {clock!r}")
+        if concurrency_limit < 1:
+            raise ValueError(f"concurrency_limit must be at least 1, got {concurrency_limit!r}")
         self.concurrency_limit = concurrency_limit
         self.clock = clock
         self.task_text = task_text
@@ -229,23 +233,23 @@ class ExecutionEngine:
                 trace, lead, "assign", LEAD_ASSIGN_PREFIX + subtask_list, glob, cursor
             )
         shared = kind in (TopologyKind.HYBRID, TopologyKind.HIERARCHICAL)
-        run_group = self._run_group_virtual if self.clock == "virtual" else self._run_group_wall
-        for group in plan.order:
-            earlier = [trace.outputs[v] for v in sorted(trace.outputs)] if shared else []
-            prompts = {}
-            for vid in group:
-                sub = dag.subtask(vid)
-                sources = earlier
-                if kind is TopologyKind.SEQUENTIAL:
-                    sources = [trace.outputs[p] for p in sorted(dag.predecessors(vid)) if p in trace.outputs]
-                merged = merge_context(sources, sub, plan.context_budget, self.relevance)
-                prompts[vid] = (sub.description or sub.id, f"{glob}\n\n{merged}".strip() if merged else glob)
-            if prompts:
-                group_end = run_group(trace, plan, prompts, cursor)
-                trace.group_timings.append(group_end - cursor)
-                cursor = group_end
-            if trace.failures and not hierarchical:
-                break
+        with ThreadPoolExecutor(self.concurrency_limit) if self.clock == "wall" else nullcontext() as pool:
+            for group in plan.order:
+                earlier = [trace.outputs[v] for v in sorted(trace.outputs)] if shared else []
+                prompts = {}
+                for vid in group:
+                    sub = dag.subtask(vid)
+                    sources = earlier
+                    if kind is TopologyKind.SEQUENTIAL:
+                        sources = [trace.outputs[p] for p in sorted(dag.predecessors(vid)) if p in trace.outputs]
+                    merged = merge_context(sources, sub, plan.context_budget, self.relevance)
+                    prompts[vid] = (sub.description or sub.id, f"{glob}\n\n{merged}".strip() if merged else glob)
+                if prompts:
+                    group_end = self._run_group(trace, plan, prompts, cursor, pool)
+                    trace.group_timings.append(group_end - cursor)
+                    cursor = group_end
+                if trace.failures and not hierarchical:
+                    break
         if hierarchical:
             sections = [
                 f"## {vid}\n{trace.outputs[vid].text}"
@@ -303,53 +307,38 @@ class ExecutionEngine:
         trace.lead[phase] = out.with_subtask(tag)
         return cursor + out.latency
 
-    def _call(self, plan: ExecutionPlan, vid: str, prompt: tuple[str, str]) -> AgentOutput:
-        instruction, context = prompt
-        return self._invoke_with_retry(
-            plan.assignments[vid], instruction, context, tag=vid
-        ).with_subtask(vid)
+    def _run_group(self, trace, plan, prompts, group_start, pool) -> float:
+        """Run ``prompts`` (vid -> (instruction, context)) concurrently on
+        ``pool``, or in schedule order without one; record outputs, timings and
+        ``BackendError`` failures in ``trace``; return the group's end.
 
-    # A group runner executes ``prompts`` (vid -> (instruction, context))
-    # concurrently, records outputs and failures in ``trace`` without
-    # raising, and returns the group's end time on the engine clock.
-
-    def _run_group_virtual(self, trace, plan, prompts, group_start) -> float:
-        # invocations execute in schedule order; the makespan is simulated
-        # over `concurrency_limit` workers using backend-reported latencies
-        workers = [group_start] * min(self.concurrency_limit, len(prompts))
-        heapq.heapify(workers)
-        group_end = group_start
-        for vid, prompt in prompts.items():
-            start = heapq.heappop(workers)
-            try:
-                out = self._call(plan, vid, prompt)
-                trace.outputs[vid] = out
-                finish = start + out.latency
-                trace.timings[vid] = VertexTiming(start=start, finish=finish)
-            except BackendError as exc:
-                trace.failures[vid] = str(exc)
-                finish = start
-            heapq.heappush(workers, finish)
-            group_end = max(group_end, finish)
-        return group_end
-
-    def _run_group_wall(self, trace, plan, prompts, group_start) -> float:
+        The virtual clock takes each vertex's start from the earliest free of
+        ``concurrency_limit`` simulated workers and its finish from the
+        backend-reported latency; the wall clock measures both.
+        """
         t0 = time.monotonic()
 
-        def work(vid: str):
-            s = time.monotonic() - t0 + group_start
-            out = self._call(plan, vid, prompts[vid])
-            return out, s, time.monotonic() - t0 + group_start
+        def call(item):
+            vid, (instruction, context) = item
+            start = time.monotonic()
+            try:
+                out = self._invoke_with_retry(plan.assignments[vid], instruction, context, tag=vid)
+            except BackendError as exc:
+                out = exc
+            return vid, out, start - t0 + group_start, time.monotonic() - t0 + group_start
 
+        workers = [group_start] * min(self.concurrency_limit, len(prompts))
         group_end = group_start
-        with ThreadPoolExecutor(max_workers=self.concurrency_limit) as pool:
-            futures = {pool.submit(work, vid): vid for vid in prompts}
-            for fut, vid in futures.items():
-                try:
-                    out, s, f = fut.result()
-                    trace.outputs[vid] = out
-                    trace.timings[vid] = VertexTiming(start=s, finish=f)
-                    group_end = max(group_end, f)
-                except BackendError as exc:
-                    trace.failures[vid] = str(exc)
-        return max(group_end, group_start + (time.monotonic() - t0))
+        for vid, out, start, finish in (map if pool is None else pool.map)(call, prompts.items()):
+            failed = isinstance(out, BackendError)
+            if pool is None:
+                start = heapq.heappop(workers)
+                finish = start if failed else start + out.latency
+                heapq.heappush(workers, finish)
+                group_end = max(group_end, finish)
+            if failed:
+                trace.failures[vid] = str(out)
+            else:
+                trace.outputs[vid] = out.with_subtask(vid)
+                trace.timings[vid] = VertexTiming(start=start, finish=finish)
+        return group_end if pool is None else time.monotonic() - t0 + group_start

@@ -136,6 +136,19 @@ class TestExec:
         manifest = write_manifest(tmp_path, dag=str(tmp_path / "absent.json"))
         assert main(["exec", manifest]) == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta_cs", 1.5), ("concurrency", 0), ("context_budget", 0),
+        ("concurrency", "8"), ("context_budget", 2.5), ("theta_cs", True),
+    ])
+    def test_exec_bad_manifest_number_exits_2_before_any_call(self, tmp_path, capsys, monkeypatch, field, value):
+        calls = []
+        monkeypatch.setattr(ScriptedBackend, "invoke", lambda self, *args, **kwargs: calls.append(args))
+        manifest = write_manifest(tmp_path, **{field: value})
+        assert main(["exec", manifest]) == 2
+        assert capsys.readouterr().err.startswith(f"usage error: manifest field {field!r} must be")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_exec_unknown_provider_exits_4(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, backend="nosuch:model")
         assert main(["exec", manifest]) == 4
@@ -489,6 +502,25 @@ class TestReport:
 
     def test_missing_logs_dir(self, capsys):
         assert main(["report", "--logs", "/nonexistent"]) == 2
+
+    def test_run_records_without_a_known_topology_are_skipped(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        bad = [
+            {"type": "run", "iterations": 1},
+            {"type": "run", "topology": "star", "iterations": 1},
+            {"type": "run", "topology": "parallel", "oracle_topology": "star"},
+        ]
+        (logs / "bad.jsonl").write_text("".join(json.dumps(r) + "\n" for r in bad))
+        out = tmp_path / "rep"
+        assert main(["report", "--logs", str(logs), "--out", str(out)]) == 2
+        assert "no run records" in capsys.readouterr().err
+        (logs / "good.jsonl").write_text(json.dumps({"type": "run", "topology": "hybrid", "iterations": 2}) + "\n")
+        assert main(["report", "--logs", str(logs), "--out", str(out)]) == 0
+        assert "warning: skipped 3 corrupt log line(s)" in capsys.readouterr().err
+        hist = (out / "iteration_histogram.csv").read_text().splitlines()
+        assert hist == ["iterations,count", "2,1"]
+        assert not (out / "confusion_matrix.txt").exists()
 
     def test_corrupt_lines_warn_but_report(self, tmp_path, capsys):
         logs = self._run_logs(tmp_path)

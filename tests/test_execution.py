@@ -275,6 +275,29 @@ class TestHttpChatBackend:
         assert [len(conn.threads) for conn in made] == [1, 1, 1, 1]
         assert len(set().union(*(conn.threads for conn in made))) == 4
 
+    @pytest.mark.parametrize("topology", [SEQUENTIAL, TopologyKind.HYBRID])
+    def test_wall_clock_run_keeps_one_connection_across_groups(self, topology):
+        made = []
+
+        def connect():
+            made.append(FakeConnection(FakeResponse(200, OK_BODY)))
+            return made[-1]
+
+        dag = make_dag(6, [(i, i + 1) for i in range(5)])
+        backend = HttpChatBackend("openai", "gpt-4o-mini", connect=connect)
+        plan = make_plan(dag, topology, [backend])
+        assert len(plan.order) == 6
+        # a worker frees itself just after its result is set; a long switch
+        # interval keeps the next submit from seeing it busy and adding a thread
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            trace = ExecutionEngine(clock="wall").run(dag, plan)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(trace.outputs) == 6
+        assert len(made) == 1 and made[0].sent == 6
+
     @pytest.fixture
     def no_proxy_env(self, monkeypatch):
         for var in list(os.environ):
@@ -585,9 +608,28 @@ class TestWallClock:
         assert list(ei.value.failed) == ["v1"]
         assert sorted(ei.value.trace.outputs) == ["v0", "v2"]
 
+    def test_unexpected_backend_error_escapes_and_stops_the_workers(self):
+        class Broken(MockBackend):
+            def invoke(self, instruction, context, *, tag=None):
+                if tag == "v2":
+                    raise RuntimeError("not a BackendError")
+                return super().invoke(instruction, context, tag=tag)
+
+        dag = make_dag(6, [])
+        threads = threading.active_count()
+        engine = ExecutionEngine(clock="wall", concurrency_limit=4)
+        with pytest.raises(RuntimeError, match="not a BackendError"):
+            engine.run(dag, make_plan(dag, PARALLEL, [Broken(latency=0.01, sleep=True)]))
+        assert threading.active_count() == threads
+
     def test_invalid_clock_rejected(self):
         with pytest.raises(ValueError):
             ExecutionEngine(clock="cpu")
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_concurrency_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="concurrency_limit"):
+            ExecutionEngine(concurrency_limit=limit)
 
 
 class TestTraceRecord:
