@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import convergence, execution, routing, runlog, synthesis
 from .accounting import CostLedger, Phase, PricingTable, RunReport, format_distribution, topology_distribution
-from .archetypes import ArchetypeKind, DagArchetype
+from .archetypes import ArchetypeKind, DagArchetype, generate_archetype
 from .backends import AgentBackend, AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from .convergence import (
     BoundDiverges,
@@ -236,12 +236,16 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = SimConfig(
-        archetype=DagArchetype(ArchetypeKind(args.archetype), args.size, seed=args.seed),
-        epsilon=args.eps,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    try:
+        cfg = SimConfig(
+            archetype=DagArchetype(ArchetypeKind(args.archetype), args.size, seed=args.seed),
+            epsilon=args.eps,
+            trials=args.trials,
+            seed=args.seed,
+        )
+        generate_archetype(cfg.archetype)  # raises on a size the archetype cannot build
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     result = simulate_variance(cfg)
     os.makedirs(args.out, exist_ok=True)
     runlog.write_csv(
@@ -294,6 +298,19 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _readable_run(record: dict) -> bool:
+    """A run record whose topologies this version knows and whose counts and
+    times, where present, are numbers; ``type`` is exact, so a bool is none."""
+    known = [k.value for k in TopologyKind]
+    numbers = [record.get(key, 0) for key in ("total_tokens", "cost_microdollars", "wall_clock")]
+    return (
+        record.get("topology") in known
+        and record.get("oracle_topology", known[0]) in known
+        and type(record.get("iterations", 1)) is int
+        and all(type(v) in (int, float) for v in numbers)
+    )
+
+
 def cmd_report(args) -> int:
     if not os.path.isdir(args.logs):
         raise UsageError(f"log directory not found: {args.logs}")
@@ -304,17 +321,16 @@ def cmd_report(args) -> int:
         raise UsageError(f"no .jsonl logs in {args.logs}")
     runs: list[dict] = []
     skipped = 0
-    known = [k.value for k in TopologyKind]
     for f in files:
         recs, bad = runlog.read_jsonl(f)
         skipped += bad
         for r in recs:
             if r.get("type") != "run":
                 continue
-            if r.get("topology") in known and r.get("oracle_topology", known[0]) in known:
+            if _readable_run(r):
                 runs.append(r)
             else:
-                skipped += 1  # a run record with no topology, or one this version does not know
+                skipped += 1
     if skipped:
         print(f"warning: skipped {skipped} corrupt log line(s)", file=sys.stderr)
     if not runs:
@@ -327,7 +343,7 @@ def cmd_report(args) -> int:
             cost_microdollars=r.get("cost_microdollars", 0),
             wall_clock=r.get("wall_clock", 0.0),
             topology=TopologyKind(r["topology"]),
-            iterations=int(r.get("iterations", 1)),
+            iterations=r.get("iterations", 1),
         )
         for r in runs
     ]

@@ -10,6 +10,7 @@ the threshold router against an oracle that tries all four topologies.
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -181,6 +182,8 @@ class SimConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon {self.epsilon} must be finite and >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -215,6 +218,27 @@ class SimResult:
         }
 
 
+def _variance(values: list[float]) -> float:
+    """``statistics.variance`` of floats, the same float, in Python ints.
+
+    A finite float is an integer over a power of two, so scaled to the
+    largest denominator every value is an integer a; with S = sum(a) and
+    Q = sum(a*a) the exact variance is (n*Q - S*S) / (n*(n-1)*den*den).
+    One int/int true division rounds it correctly, as ``statistics`` rounds
+    its exact ``Fraction``, and overflows the same way.  Fewer than two
+    values, or a non-finite one, go to ``statistics.variance`` itself.
+    """
+    n = len(values)
+    if n < 2 or not all(map(math.isfinite, values)):
+        return statistics.variance(values)
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    nums = [a * (den // d) for a, d in ratios]
+    s = sum(nums)
+    q = sum(a * a for a in nums)
+    return (n * q - s * s) / (n * (n - 1) * den * den)
+
+
 def simulate_variance(cfg: SimConfig) -> SimResult:
     """Monte-Carlo check of the variance-ratio bound under the quality model.
 
@@ -234,9 +258,9 @@ def simulate_variance(cfg: SimConfig) -> SimResult:
         m = compute_metrics(dag, mode=WidthMode.EXACT)
         rng = random.Random(dag_seed ^ 0x5EED5C0E)
         scores = [S_STAR - cfg.epsilon * rng.random() for _ in range(POOL_SIZE)]
-        var_m = statistics.variance(scores)
+        var_m = _variance(scores)
         quals = assumption_one_qualities(dag, base=scores[0], metrics=m)
-        var_t = statistics.variance(quals.values())
+        var_t = _variance(list(quals.values()))
         try:
             bound = variance_ratio_bound(
                 ConvergenceParams(

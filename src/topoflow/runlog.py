@@ -62,7 +62,8 @@ def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def read_jsonl(path: str) -> tuple[list[dict], int]:
-    """Parse a JSONL file; corrupt lines are skipped and counted."""
+    """Parse a JSONL file; corrupt lines, and lines that are not JSON objects,
+    are skipped and counted."""
     records: list[dict] = []
     skipped = 0
     with open(path, encoding="utf-8") as fh:
@@ -71,8 +72,12 @@ def read_jsonl(path: str) -> tuple[list[dict], int]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError:
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
                 skipped += 1
                 logger.warning("%s:%d: skipping corrupt log line", path, lineno)
     return records, skipped

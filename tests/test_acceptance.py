@@ -27,6 +27,7 @@ from topoflow.convergence import (
     BoundDiverges,
     ConvergenceParams,
     SimConfig,
+    _variance,
     confusion_matrix,
     format_confusion_matrix,
     simulate_variance,
@@ -237,6 +238,19 @@ def test_exact_width_chain_latency():
     ok = m.width_exact == 1 and elapsed < 1.0
     print(f"\nexact width, 3000-vertex chain: {m.width_exact} in {elapsed * 1000:.1f} ms (< 1000 ms)")
     assert ok, f"exact width of a 3000-vertex chain: {m.width_exact} in {elapsed:.2f}s"
+
+
+def test_exact_variance_latency():
+    # beside criterion 7: the simulator's variances are exact but cost ints,
+    # not Fractions; statistics.variance takes about ten times as long
+    rng = random.Random(7)
+    pools = [[0.9 - 0.05 * rng.random() for _ in range(5)] for _ in range(10_000)]
+    t0 = time.perf_counter()
+    for pool in pools:
+        _variance(pool)
+    elapsed = time.perf_counter() - t0
+    print(f"\nexact variance, 10,000 pools of 5: {elapsed * 1000:.1f} ms (< 300 ms)")
+    assert elapsed < 0.3, f"10,000 exact variances took {elapsed:.2f}s"
 
 
 def test_hybrid_exec_and_consistency_latency():

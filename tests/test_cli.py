@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from topoflow import cli
 from topoflow.backends import BackendError, HttpChatBackend, ScriptedBackend
 from topoflow.cli import _make_pool, main
 from topoflow.runlog import read_jsonl
@@ -336,6 +337,87 @@ def test_exec_artefacts_pinned(case, tmp_path, capsys):
     assert digests == pinned
 
 
+# sha256 of ``topoflow simulate``'s outputs, 200 trials at the default epsilon,
+# per archetype, size and seed; recorded when the variances were still
+# computed by ``statistics.variance``
+SIMULATE_DIGESTS = {
+    "chain-10-1": {
+        "trials.csv": "85731f5b26b7a97b4cb43e0930613d33681440152eb0e65197a24b727c36a2db",
+        "summary.json": "246f393cdedf20eda6a3bfbdad7e2dc4b6f3ad3f6cd930f5b2c2da2a173ab446",
+    },
+    "chain-10-4242": {
+        "trials.csv": "6516226cffa0ad66196e6cf2ff8248d0eb4fd2ff9d16189b17a1263f0bbe965d",
+        "summary.json": "92290b5cb9646cc47012b4428101b35fd0efb456c97b0ded2eba420abf8895eb",
+    },
+    "chain-6-1": {
+        "trials.csv": "56ef2ad5bb98245879159f78343124bde14fd80a2b666072ea53f30180057f95",
+        "summary.json": "92c1e9d0be55aeba04a8273d66f795871d964c757f6bf63eea590a2b537ad7a2",
+    },
+    "chain-6-4242": {
+        "trials.csv": "9a8909b59d1502c5745185e315dcea864e7fd900fb2afda60470e01255fc1621",
+        "summary.json": "19a4633dc356afe84b38affd7ed63a47f4ed16f87860a1a4279ea7eda280d806",
+    },
+    "deep_narrow-10-1": {
+        "trials.csv": "cd4c98a8c61013a89b95b37c9dabf695c796f49d8ae646edd8f80ab8e520c550",
+        "summary.json": "0a90ead1a19abe30de8936d5ef8d259521b73fb36a05d05553f4830288d7f2ae",
+    },
+    "deep_narrow-10-4242": {
+        "trials.csv": "9350dc9e9c6d8a0210565ef89d8d986f5685001b92a24926c41fda8d66df20cc",
+        "summary.json": "3fe83f9447cae1c1e38a21b241955bd13475b05ad3f3bb4da2643d8ab812a514",
+    },
+    "deep_narrow-6-1": {
+        "trials.csv": "bdd5089f898b2fb1794072e5df6918893ce72dd205f73625dd237a33d8de76c3",
+        "summary.json": "8ea4067c5b1e355c4e174deb9b5842e576dc438e5752b1c00c1bf88c026308dd",
+    },
+    "deep_narrow-6-4242": {
+        "trials.csv": "4e8f93cf06377db7b3be2182f211a18dc48ac9e1386868cdc8651557a09ac129",
+        "summary.json": "8689d5658379782002dd40c83c1dc1788b50cbf358027844aad530df25c1f237",
+    },
+    "diamond-10-1": {
+        "trials.csv": "26d424c086e6d0d4ae71fe3ee880accb9ced94556330b43596709bf6d9b2c933",
+        "summary.json": "70268e9373e8a4f9f68820a00befa8fc385898b257764f743092fd63386d4b98",
+    },
+    "diamond-10-4242": {
+        "trials.csv": "b48a4abdbade3078af4260818d464e472e25cb7a36978daec37a81f72239d110",
+        "summary.json": "751a5e479481db02ad350951a83fccab4de5e2ebd3f16546954a1fb2413ff02e",
+    },
+    "diamond-6-1": {
+        "trials.csv": "d732769b8be54ca16774f9fd9b6ef941c00514bf1fc4186034dd48ad90d35ebf",
+        "summary.json": "058bc6444acb606873d5827bda043add09ceb0dd0808348f6d8c95717b215560",
+    },
+    "diamond-6-4242": {
+        "trials.csv": "ce32312e81e71d5ccbe906f62af9442c7411a8f008f68a8a15ebb3cab9840287",
+        "summary.json": "bb009f25ee80f36a35ab6b72c92d45a47e80534658ec5f73ad5f493df75b411a",
+    },
+    "wide_shallow-10-1": {
+        "trials.csv": "4d856c27a89481628fb2b79ea916a1826ddf00709710e067bdeb19d571dd30c4",
+        "summary.json": "698bde722193dfa063936d091552ca5850f4bd96c2b8ee07c754fa5b39137e0b",
+    },
+    "wide_shallow-10-4242": {
+        "trials.csv": "bfcb8d177a2c6d4bd82f52580967826070d15a2af62a23e2dfb4f8837218a214",
+        "summary.json": "2acc0b370a85dd8abcc487b082c14b5ea8e7db1c6040ed8bce42de0b9c41d121",
+    },
+    "wide_shallow-6-1": {
+        "trials.csv": "b0dfdb4c383ae52cf36d128ff8c60c7da493855ae7d2f728dde6ab4d8b348e51",
+        "summary.json": "46370cbe91e7bbaa20056e209d0e563bce1baee0ebb0a4898c60260fe548fd77",
+    },
+    "wide_shallow-6-4242": {
+        "trials.csv": "bb83d8cc39c57372f63d050f1283740cdaaeb2ee836ab881af947f8678eddc54",
+        "summary.json": "0e2b66d695bffdcc062290b7f4874ca2f668394591089be675ad0389cd37ec60",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_DIGESTS))
+def test_simulate_outputs_pinned(case, tmp_path, capsys):
+    kind, size, seed = case.rsplit("-", 2)
+    out = tmp_path / "sim"
+    argv = ["simulate", "--archetype", kind, "--size", size, "--trials", "200", "--seed", seed]
+    assert main([*argv, "--out", str(out)]) == 0
+    pinned = SIMULATE_DIGESTS[case]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned} == pinned
+
+
 # (id, depends_on, coupling) of a small DAG per topology it routes to
 ROUTE_DAGS = {
     "parallel": [("a", [], "none"), *((f"b{i}", ["a"], "weak") for i in range(4))],
@@ -427,6 +509,28 @@ class TestSimulate:
         assert summary["trials"] == 25
         assert summary["satisfies_bound"] is True
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--eps", "-0.1"],
+            ["--eps", "nan"],
+            ["--eps", "inf"],
+            ["--trials", "0"],
+            ["--size", "1"],
+            ["--size", "0", "--archetype", "chain"],
+        ],
+    )
+    def test_bad_parameters_are_usage_errors(self, flags, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "simulate_variance", fail)
+        out = tmp_path / "sim"
+        argv = ["simulate", "--archetype", "diamond", "--trials", "25", *flags, "--out", str(out)]
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCalibrate:
@@ -521,6 +625,42 @@ class TestReport:
         hist = (out / "iteration_histogram.csv").read_text().splitlines()
         assert hist == ["iterations,count", "2,1"]
         assert not (out / "confusion_matrix.txt").exists()
+
+    def test_non_object_lines_are_skipped(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        good = {"type": "run", "topology": "hybrid", "iterations": 2}
+        (logs / "runs.jsonl").write_text("[1, 2]\n" + json.dumps(good) + "\n")
+        out = tmp_path / "rep"
+        assert main(["report", "--logs", str(logs), "--out", str(out)]) == 0
+        assert "warning: skipped 1 corrupt log line(s)" in capsys.readouterr().err
+        assert (out / "iteration_histogram.csv").read_text().splitlines() == ["iterations,count", "2,1"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("iterations", "x"),
+            ("iterations", 2.0),
+            ("iterations", True),
+            ("total_tokens", "100"),
+            ("total_tokens", None),
+            ("cost_microdollars", [5]),
+            ("cost_microdollars", False),
+            ("wall_clock", "1.5"),
+        ],
+    )
+    def test_run_records_with_bad_field_types_are_skipped(self, field, value, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        bad = {"type": "run", "topology": "parallel", "iterations": 1, field: value}
+        good = {"type": "run", "topology": "hybrid", "iterations": 2, "total_tokens": 10,
+                "cost_microdollars": 3, "wall_clock": 0.5}
+        (logs / "runs.jsonl").write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+        out = tmp_path / "rep"
+        assert main(["report", "--logs", str(logs), "--out", str(out)]) == 0
+        assert "warning: skipped 1 corrupt log line(s)" in capsys.readouterr().err
+        assert (out / "iteration_histogram.csv").read_text().splitlines() == ["iterations,count", "2,1"]
+        assert "all,0.0,0.0,0.0,100.0" in (out / "topology_distribution.csv").read_text()
 
     def test_corrupt_lines_warn_but_report(self, tmp_path, capsys):
         logs = self._run_logs(tmp_path)

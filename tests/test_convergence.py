@@ -1,4 +1,10 @@
+import math
+import statistics
+import struct
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topoflow import convergence
 from topoflow.archetypes import ArchetypeKind, DagArchetype
@@ -7,6 +13,7 @@ from topoflow.convergence import (
     ConvergenceParams,
     OracleError,
     SimConfig,
+    _variance,
     assumption_one_qualities,
     confusion_matrix,
     format_confusion_matrix,
@@ -189,6 +196,15 @@ class TestSimulation:
         simulate_variance(cfg)
         assert len(calls) == 5
 
+    def test_statistics_variance_not_called_on_finite_inputs(self, monkeypatch):
+        def fail(data):
+            raise AssertionError(f"statistics.variance called on {data}")
+
+        monkeypatch.setattr(convergence.statistics, "variance", fail)
+        for kind in ArchetypeKind:
+            cfg = SimConfig(archetype=DagArchetype(kind, 6), epsilon=0.05, trials=5)
+            assert len(simulate_variance(cfg).rows) == 5
+
     def test_metadata_declares_model(self):
         cfg = SimConfig(archetype=DagArchetype(ArchetypeKind.DIAMOND, 5), epsilon=0.05, trials=5)
         res = simulate_variance(cfg)
@@ -198,6 +214,59 @@ class TestSimulation:
         arch = DagArchetype(ArchetypeKind.CHAIN, 4)
         with pytest.raises(ValueError):
             SimConfig(archetype=arch, epsilon=0.05, trials=0)
+
+    @pytest.mark.parametrize("epsilon", [-0.1, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        with pytest.raises(ValueError):
+            SimConfig(archetype=DagArchetype(ArchetypeKind.CHAIN, 4), epsilon=epsilon)
+
+
+def _outcome(variance, values):
+    """The repr of ``variance(values)``, or the type of what it raises."""
+    try:
+        return repr(variance(values))
+    except Exception as exc:
+        return type(exc)
+
+
+# every finite float shape: zeros of both signs, subnormals, the extremes,
+# random bit patterns, and values near the simulator's S* = 0.9
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+           -1.7976931348623157e308, 1e154, 1.0, 0.9]
+finite = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]).filter(math.isfinite),
+    st.floats(0.8, 0.9),
+)
+
+
+class TestExactVariance:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(finite, min_size=2, max_size=10))
+    @example([1e308, -1e308])  # the exact variance overflows a float: both raise OverflowError
+    @example([5e-324, 0.0])
+    @example([-0.0, -0.0])
+    @example([0.9 - 0.05 * k / 7 for k in range(5)])
+    def test_same_float_as_statistics(self, values):
+        assert _outcome(_variance, values) == _outcome(statistics.variance, values)
+
+    def test_overflow_raises_like_statistics(self):
+        with pytest.raises(OverflowError):
+            _variance([1e308, -1e308])
+        with pytest.raises(OverflowError):
+            statistics.variance([1e308, -1e308])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(finite, st.sampled_from([math.inf, -math.inf, math.nan])), min_size=2, max_size=6)
+           .filter(lambda xs: not all(map(math.isfinite, xs))))
+    def test_non_finite_input_falls_back(self, values):
+        assert _outcome(_variance, values) == _outcome(statistics.variance, values)
+
+    @pytest.mark.parametrize("values", [[], [0.5]])
+    def test_fewer_than_two_values_fall_back(self, values):
+        with pytest.raises(statistics.StatisticsError):
+            _variance(values)
 
 
 class TestCalibrationCorpus:

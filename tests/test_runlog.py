@@ -59,6 +59,13 @@ class TestJsonl:
         assert skipped == 1
         assert [r["ok"] for r in out] == [1, 2]
 
+    def test_non_object_lines_skipped_and_counted(self, tmp_path):
+        p = tmp_path / "log.jsonl"
+        p.write_text('[1, 2]\n{"ok": 1}\n"text"\n3\nnull\n')
+        out, skipped = read_jsonl(str(p))
+        assert skipped == 4
+        assert out == [{"ok": 1}]
+
     def test_empty_records(self, tmp_path):
         p = tmp_path / "log.jsonl"
         write_jsonl(str(p), [])
