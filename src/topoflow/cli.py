@@ -299,8 +299,9 @@ def cmd_calibrate(args) -> int:
 
 
 def _readable_run(record: dict) -> bool:
-    """A run record whose topologies this version knows and whose counts and
-    times, where present, are numbers; ``type`` is exact, so a bool is none."""
+    """A run record whose topologies this version knows, whose counts and
+    times, where present, are numbers, and whose group, where present, is a
+    string; ``type`` is exact, so a bool is no number."""
     known = [k.value for k in TopologyKind]
     numbers = [record.get(key, 0) for key in ("total_tokens", "cost_microdollars", "wall_clock")]
     return (
@@ -308,6 +309,7 @@ def _readable_run(record: dict) -> bool:
         and record.get("oracle_topology", known[0]) in known
         and type(record.get("iterations", 1)) is int
         and all(type(v) in (int, float) for v in numbers)
+        and type(record.get("group", "all")) is str
     )
 
 

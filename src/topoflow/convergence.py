@@ -50,16 +50,17 @@ class ConvergenceParams:
     c_tau: float = DEFAULT_C_TAU
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon {self.epsilon} must be >= 0")
-        if self.omega < 1:
-            raise ValueError(f"omega {self.omega} must be >= 1")
+        # a NaN passes any `x < bound` test, so each check is written to fail it
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon {self.epsilon} must be finite and >= 0")
+        if not (math.isfinite(self.omega) and self.omega >= 1):
+            raise ValueError(f"omega {self.omega} must be finite and >= 1")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError(f"gamma {self.gamma} out of [0, 1]")
         if self.k < 1:
             raise ValueError(f"k {self.k} must be a positive integer")
-        if self.c_tau <= 0:
-            raise ValueError("c_tau must be positive")
+        if not (math.isfinite(self.c_tau) and self.c_tau > 0):
+            raise ValueError(f"c_tau {self.c_tau} must be finite and positive")
 
 
 def variance_ratio_bound(p: ConvergenceParams) -> float:

@@ -11,7 +11,6 @@ import enum
 import functools
 import json
 import logging
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -28,6 +27,8 @@ class CouplingLabel(enum.Enum):
     STRONG = "strong"
     CRITICAL = "critical"
 
+
+_LABELS = {label.value: label for label in CouplingLabel}
 
 _COUPLING_VALUES = {
     CouplingLabel.NONE: 0.0,
@@ -142,28 +143,37 @@ class TaskDag:
 
 def _build_index(dag: TaskDag) -> DagIndex:
     subtasks = {v.id: v for v in dag.vertices}
-    adj: dict[str, list[str]] = {vid: [] for vid in subtasks}
-    indeg = dict.fromkeys(subtasks, 0)
-    for u, v in dag.edges:
-        adj[u].append(v)
-        indeg[v] += 1
-    ready = deque(sorted(vid for vid, d in indeg.items() if d == 0))
-    order: list[str] = []
-    while ready:
-        vid = ready.popleft()
-        order.append(vid)
-        for nxt in sorted(adj[vid]):
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    position = {vid: i for i, vid in enumerate(order)}
-    succ: list[list[int]] = [[] for _ in order]
-    pred: list[list[int]] = [[] for _ in order]
-    for u, v in dag.edges:
-        i, j = position[u], position[v]
-        succ[i].append(j)
-        pred[j].append(i)
-    level = [1] * len(order)
+    ids = sorted(subtasks)
+    n = len(ids)
+    rank = dict(zip(ids, range(n)))
+    ranked = [(rank[u], rank[v]) for u, v in dag.edges]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i, j in ranked:
+        adj[i].append(j)
+        indeg[j] += 1
+    # ranks order like ids, so a FIFO over rank-sorted batches is Kahn's
+    # order with ties broken by sorted id
+    ready = [i for i in range(n) if not indeg[i]]
+    for i in ready:
+        out = adj[i]
+        out.sort()
+        for j in out:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    pos = [0] * n  # by rank
+    for p, i in enumerate(ready):
+        pos[i] = p
+    order = [ids[i] for i in ready]
+    position = dict(zip(order, range(n)))
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for i, j in ranked:
+        p, q = pos[i], pos[j]
+        succ[p].append(q)
+        pred[q].append(p)
+    level = [1] * n
     for i, out in enumerate(succ):
         for j in out:
             if level[j] <= level[i]:
@@ -192,37 +202,52 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions."""
     violations: list[Violation] = []
 
-    seen: set[str] = set()
+    num: dict[str, int] = {}  # each distinct id, numbered in order of first use
     for v in dag.vertices:
         if not v.id:
             violations.append(Violation("duplicate_id", "empty vertex id"))
-        elif v.id in seen:
+        elif v.id in num:
             violations.append(Violation("duplicate_id", f"duplicate vertex id {v.id!r}"))
-        seen.add(v.id)
+        num.setdefault(v.id, len(num))
         if not v.weight > 0:
             violations.append(Violation("bad_weight", f"vertex {v.id!r} has non-positive weight {v.weight}"))
 
-    ids = {v.id for v in dag.vertices}
+    n = len(num)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
     seen_edges: set[tuple[str, str]] = set()
+    coupling = dag.coupling
     for edge in dag.edges:
         u, v = edge
-        if u not in ids or v not in ids:
+        i, j = num.get(u), num.get(v)
+        if i is None or j is None:
             violations.append(Violation("dangling_edge", f"edge {edge} references unknown vertex"))
             continue
+        adj[i].append(j)
+        indeg[j] += 1
         if u == v:
             violations.append(Violation("self_edge", f"self-edge on {u!r}"))
         if edge in seen_edges:
             violations.append(Violation("duplicate_edge", f"duplicate edge {edge}"))
         seen_edges.add(edge)
-        if edge not in dag.coupling:
+        try:
+            c = coupling[edge]
+        except KeyError:
             violations.append(Violation("missing_coupling", f"edge {edge} has no coupling value"))
-        else:
-            c = dag.coupling[edge]
-            if not (0.0 <= c <= 1.0):
-                violations.append(Violation("coupling_range", f"edge {edge} coupling {c} out of [0, 1]"))
+            continue
+        if not (0.0 <= c <= 1.0):
+            violations.append(Violation("coupling_range", f"edge {edge} coupling {c} out of [0, 1]"))
 
-    cycle = _find_cycle(ids, [e for e in dag.edges if e[0] in ids and e[1] in ids])
-    if cycle is not None:
+    # Kahn's algorithm leaves a vertex unordered exactly when there is a
+    # cycle; only then does the DFS run, and it finds one to name
+    ready = [i for i in range(n) if not indeg[i]]
+    for i in ready:
+        for j in adj[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    if len(ready) < n:
+        cycle = _find_cycle(set(num), [e for e in dag.edges if e[0] in num and e[1] in num])
         violations.append(Violation("cycle", "cycle " + " -> ".join(cycle)))
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -295,12 +320,9 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
         vid = rec["id"]
         if not isinstance(vid, str) or not vid:
             raise ParseError(f"record {i} has invalid id {vid!r}")
-        try:
-            label = CouplingLabel(str(rec["coupling"]).lower())
-        except ValueError:
-            raise ParseError(
-                f"record {vid!r} has unknown coupling label {rec['coupling']!r}"
-            ) from None
+        label = _LABELS.get(str(rec["coupling"]).lower())
+        if label is None:
+            raise ParseError(f"record {vid!r} has unknown coupling label {rec['coupling']!r}")
         if "estimated_tokens" in rec and rec["estimated_tokens"] is not None:
             weight = float(rec["estimated_tokens"])
         else:
@@ -341,6 +363,15 @@ def serialize_dag(dag: TaskDag) -> dict:
     }
 
 
+def _declared_label(value) -> CouplingLabel:
+    """``CouplingLabel(value)``, looked up in a dict first; a miss goes to the
+    enum call, so it raises the enum's own ``ValueError``."""
+    try:
+        return _LABELS[value]
+    except (KeyError, TypeError):
+        return CouplingLabel(value)
+
+
 def deserialize_dag(doc: Mapping) -> TaskDag:
     """Inverse of :func:`serialize_dag`; validates and indexes the result."""
     try:
@@ -349,15 +380,19 @@ def deserialize_dag(doc: Mapping) -> TaskDag:
                 id=rec["id"],
                 description=rec.get("description", ""),
                 weight=float(rec.get("weight", DEFAULT_WEIGHT)),
-                declared_coupling=CouplingLabel(rec.get("declared_coupling", "none")),
+                declared_coupling=_declared_label(rec.get("declared_coupling", "none")),
             )
             for rec in doc["vertices"]
         )
-        edges = tuple((e["source"], e["target"]) for e in doc["edges"])
-        coupling = {(e["source"], e["target"]): float(e["coupling"]) for e in doc["edges"]}
+        edges: list[tuple[str, str]] = []
+        coupling: dict[tuple[str, str], float] = {}
+        for e in doc["edges"]:
+            edge = (e["source"], e["target"])
+            edges.append(edge)
+            coupling[edge] = float(e["coupling"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed canonical DAG document: {exc}") from exc
-    dag = TaskDag(vertices=vertices, edges=edges, coupling=coupling)
+    dag = TaskDag(vertices=vertices, edges=tuple(edges), coupling=coupling)
     dag.index  # validates, or raises ValidationError
     return dag
 

@@ -1,11 +1,12 @@
 import itertools
 import random
 import sys
+from collections import deque
 
 import pytest
 
 from topoflow import dag as dag_module
-from topoflow.dag import Subtask, TaskDag
+from topoflow.dag import DagIndex, Subtask, TaskDag, ValidationReport, Violation
 
 
 def make_dag(n, edges, *, weights=None, couplings=None, default_coupling=0.3):
@@ -110,6 +111,127 @@ def random_small_dag(rng: random.Random, max_n=8):
     couplings = [rng.choice((0.0, 0.3, 0.7, 1.0)) for _ in edges]
     weights = [rng.uniform(1.0, 10.0) for _ in range(n)]
     return make_dag(n, edges, weights=weights, couplings=couplings)
+
+
+# -- reference implementations of the dag layer's validation and index --------
+
+def oracle_build_index(dag):
+    """Reference for ``topoflow.dag._build_index``: the same index built on
+    string keys, sorting a vertex's successors each time it is popped."""
+    subtasks = {v.id: v for v in dag.vertices}
+    adj: dict[str, list[str]] = {vid: [] for vid in subtasks}
+    indeg = dict.fromkeys(subtasks, 0)
+    for u, v in dag.edges:
+        adj[u].append(v)
+        indeg[v] += 1
+    ready = deque(sorted(vid for vid, d in indeg.items() if d == 0))
+    order: list[str] = []
+    while ready:
+        vid = ready.popleft()
+        order.append(vid)
+        for nxt in sorted(adj[vid]):
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                ready.append(nxt)
+    position = {vid: i for i, vid in enumerate(order)}
+    succ: list[list[int]] = [[] for _ in order]
+    pred: list[list[int]] = [[] for _ in order]
+    for u, v in dag.edges:
+        i, j = position[u], position[v]
+        succ[i].append(j)
+        pred[j].append(i)
+    level = [1] * len(order)
+    for i, out in enumerate(succ):
+        for j in out:
+            if level[j] <= level[i]:
+                level[j] = level[i] + 1
+    layers: list[list[str]] = [[] for _ in range(max(level, default=0))]
+    for vid, lv in zip(order, level):
+        layers[lv - 1].append(vid)
+    for layer in layers:
+        layer.sort()
+    return DagIndex(order, position, subtasks, succ, pred, level, layers)
+
+
+def oracle_validate_dag(dag):
+    """Reference for ``topoflow.dag.validate_dag``: the same checks in the same
+    order, with the cycle DFS run on every DAG."""
+    violations: list[Violation] = []
+
+    seen: set[str] = set()
+    for v in dag.vertices:
+        if not v.id:
+            violations.append(Violation("duplicate_id", "empty vertex id"))
+        elif v.id in seen:
+            violations.append(Violation("duplicate_id", f"duplicate vertex id {v.id!r}"))
+        seen.add(v.id)
+        if not v.weight > 0:
+            violations.append(Violation("bad_weight", f"vertex {v.id!r} has non-positive weight {v.weight}"))
+
+    ids = {v.id for v in dag.vertices}
+    seen_edges: set[tuple[str, str]] = set()
+    for edge in dag.edges:
+        u, v = edge
+        if u not in ids or v not in ids:
+            violations.append(Violation("dangling_edge", f"edge {edge} references unknown vertex"))
+            continue
+        if u == v:
+            violations.append(Violation("self_edge", f"self-edge on {u!r}"))
+        if edge in seen_edges:
+            violations.append(Violation("duplicate_edge", f"duplicate edge {edge}"))
+        seen_edges.add(edge)
+        if edge not in dag.coupling:
+            violations.append(Violation("missing_coupling", f"edge {edge} has no coupling value"))
+        else:
+            c = dag.coupling[edge]
+            if not (0.0 <= c <= 1.0):
+                violations.append(Violation("coupling_range", f"edge {edge} coupling {c} out of [0, 1]"))
+
+    cycle = oracle_find_cycle(ids, [e for e in dag.edges if e[0] in ids and e[1] in ids])
+    if cycle is not None:
+        violations.append(Violation("cycle", "cycle " + " -> ".join(cycle)))
+
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def oracle_find_cycle(ids, edges):
+    """Return a witness cycle [a, ..., a] via iterative DFS, or None."""
+    adj: dict[str, list[str]] = {i: [] for i in ids}
+    for u, v in edges:
+        if u == v:
+            return [u, u]
+        adj[u].append(v)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {i: WHITE for i in ids}
+    parent: dict[str, str] = {}
+    for root in sorted(ids):
+        if color[root] != WHITE:
+            continue
+        stack: list[tuple[str, int]] = [(root, 0)]
+        color[root] = GRAY
+        while stack:
+            node, idx = stack[-1]
+            if idx < len(adj[node]):
+                stack[-1] = (node, idx + 1)
+                nxt = adj[node][idx]
+                if color[nxt] == GRAY:
+                    # unwind the gray path to produce the witness
+                    path = [nxt]
+                    cur = node
+                    while cur != nxt:
+                        path.append(cur)
+                        cur = parent[cur]
+                    path.append(nxt)
+                    path[1:-1] = path[1:-1][::-1]
+                    return path
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    parent[nxt] = node
+                    stack.append((nxt, 0))
+            else:
+                color[node] = BLACK
+                stack.pop()
+    return None
 
 
 @pytest.fixture

@@ -33,6 +33,7 @@ from topoflow.convergence import (
     simulate_variance,
     variance_ratio_bound,
 )
+from topoflow.dag import deserialize_dag
 from topoflow.execution import ExecutionEngine, make_plan
 from topoflow.metrics import WidthMode, compute_metrics, topological_layers
 from topoflow.routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind, route
@@ -251,6 +252,32 @@ def test_exact_variance_latency():
     elapsed = time.perf_counter() - t0
     print(f"\nexact variance, 10,000 pools of 5: {elapsed * 1000:.1f} ms (< 300 ms)")
     assert elapsed < 0.3, f"10,000 exact variances took {elapsed:.2f}s"
+
+
+def test_ingest_and_index_latency():
+    # beside criterion 7: validation and the index run on integer positions,
+    # and the cycle search runs only when Kahn's count leaves vertices out
+    rng = random.Random(7)
+    ids = [f"s{k}" for k in rng.sample(range(10**6), 1000)]  # topological by construction
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < 5000:
+        pairs.add(tuple(sorted(rng.sample(range(1000), 2))))
+    edges = sorted(pairs)
+    rng.shuffle(edges)
+    order = list(range(1000))
+    rng.shuffle(order)
+    doc = {
+        "vertices": [{"id": ids[i], "weight": 1.0, "declared_coupling": "weak"} for i in order],
+        "edges": [{"source": ids[i], "target": ids[j], "coupling": 0.3} for i, j in edges],
+    }
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        deserialize_dag(doc).index
+        times.append(time.perf_counter() - t0)
+    median_ms = statistics.median(times) * 1000
+    print(f"\ningest and index, |V|=1000 |E|=5000: median {median_ms:.1f} ms (< 45 ms)")
+    assert median_ms < 45.0, f"ingest and index of 1000 vertices, 5000 edges: {median_ms:.1f} ms"
 
 
 def test_hybrid_exec_and_consistency_latency():

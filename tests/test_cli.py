@@ -495,6 +495,15 @@ class TestRatio:
         rc = main(["ratio", "--omega", "0.5", "--gamma", "0.4", "--k", "6", "--eps", "0.05"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--omega", "nan"), ("--eps", "nan"), ("--c-tau", "nan"), ("--c-tau", "inf")]
+    )
+    def test_non_finite_usage_error(self, flag, value, capsys):
+        argv = {"--omega": "3", "--gamma": "0.4", "--k": "6", "--eps": "0.05", flag: value}
+        rc = main(["ratio", *(x for item in argv.items() for x in item)])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestSimulate:
     def test_writes_trials_and_summary(self, tmp_path, capsys):
@@ -647,6 +656,9 @@ class TestReport:
             ("cost_microdollars", [5]),
             ("cost_microdollars", False),
             ("wall_clock", "1.5"),
+            ("group", ["a"]),
+            ("group", {"a": 1}),
+            ("group", 3),
         ],
     )
     def test_run_records_with_bad_field_types_are_skipped(self, field, value, tmp_path, capsys):

@@ -59,6 +59,12 @@ class TestVarianceRatioBound:
             {"epsilon": 0.1, "omega": 0.5, "gamma": 0.5, "k": 3},
             {"epsilon": 0.1, "omega": 2, "gamma": 1.5, "k": 3},
             {"epsilon": 0.1, "omega": 2, "gamma": 0.5, "k": 0},
+            {"epsilon": math.nan, "omega": 2, "gamma": 0.5, "k": 3},
+            {"epsilon": math.inf, "omega": 2, "gamma": 0.5, "k": 3},
+            {"epsilon": 0.1, "omega": math.nan, "gamma": 0.5, "k": 3},
+            {"epsilon": 0.1, "omega": math.inf, "gamma": 0.5, "k": 3},
+            {"epsilon": 0.1, "omega": 2, "gamma": 0.5, "k": 3, "c_tau": math.nan},
+            {"epsilon": 0.1, "omega": 2, "gamma": 0.5, "k": 3, "c_tau": math.inf},
         ],
     )
     def test_param_validation(self, kwargs):

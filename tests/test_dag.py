@@ -1,9 +1,13 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoflow.dag import (
     CouplingLabel,
+    DagIndex,
     ParseError,
     Subtask,
     TaskDag,
@@ -15,7 +19,45 @@ from topoflow.dag import (
     validate_dag,
 )
 
-from conftest import make_dag, random_small_dag
+from conftest import make_dag, oracle_build_index, oracle_validate_dag, random_small_dag
+
+NAMES = ("a", "b", "c", "d", "e", "f", "")
+UNKNOWN = ("x", "y")
+
+
+@st.composite
+def flawed_dags(draw):
+    """Small digraphs with every kind of violation: cycles (often several at
+    once), dangling edges, duplicate and empty ids, duplicate and self edges,
+    non-positive weights, and missing or out-of-range couplings."""
+    ids = draw(st.lists(st.sampled_from(NAMES), max_size=8))
+    weights = draw(st.lists(
+        st.sampled_from((1.0, 250.0, 0.0, -3.0, math.nan)), min_size=len(ids), max_size=len(ids)
+    ))
+    ends = st.sampled_from(ids + list(UNKNOWN))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=16))
+    coupling = {}
+    for edge in edges:
+        c = draw(st.sampled_from((None, 0.0, 0.3, 1.0, -0.1, 1.5, math.nan)))
+        if c is not None:
+            coupling[edge] = c
+    vertices = tuple(Subtask(vid, weight=w) for vid, w in zip(ids, weights))
+    return TaskDag(vertices=vertices, edges=tuple(edges), coupling=coupling)
+
+
+@st.composite
+def shuffled_dags(draw):
+    """Valid DAGs of up to 60 vertices whose file order is neither
+    topological nor sorted by id, with edges listed in shuffled order."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 60))
+    p = draw(st.floats(0.0, 0.3))
+    ids = [f"t{k}" for k in rng.sample(range(1000), n)]  # topological by construction
+    edges = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    rng.shuffle(edges)
+    vertices = [Subtask(vid) for vid in ids]
+    rng.shuffle(vertices)
+    return TaskDag(vertices=tuple(vertices), edges=tuple(edges), coupling=dict.fromkeys(edges, 0.3))
 
 
 class TestCouplingFromLabel:
@@ -95,6 +137,21 @@ class TestValidateDag:
             report = validate_dag(bad)
             assert any(x.kind in ("cycle", "duplicate_edge") for x in report.violations)
 
+    @settings(max_examples=400, deadline=None)
+    @given(flawed_dags())
+    def test_report_matches_the_reference(self, dag):
+        # the same violations in the same order, each with the same detail
+        assert validate_dag(dag) == oracle_validate_dag(dag)
+
+
+class TestIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags())
+    def test_index_matches_the_reference(self, dag):
+        got, want = dag.index, oracle_build_index(dag)
+        for name in DagIndex._fields:
+            assert getattr(got, name) == getattr(want, name), name
+
 
 class TestParseDecomposition:
     def test_two_records(self):
@@ -127,10 +184,12 @@ class TestParseDecomposition:
             parse_decomposition([{"id": "v0", "description": "x", "coupling": "weak"}])
 
     def test_unknown_coupling_label(self):
-        with pytest.raises(ParseError, match="coupling"):
-            parse_decomposition(
-                [{"id": "v0", "description": "x", "depends_on": [], "coupling": "medium"}]
-            )
+        for label in ("medium", ["weak"]):  # unknown, and unhashable
+            with pytest.raises(ParseError) as exc:
+                parse_decomposition(
+                    [{"id": "v0", "description": "x", "depends_on": [], "coupling": label}]
+                )
+            assert str(exc.value) == f"record 'v0' has unknown coupling label {label!r}"
 
     def test_missing_estimated_tokens_defaults(self, caplog):
         dag = parse_decomposition(
@@ -163,6 +222,20 @@ class TestSerialization:
             {"id": "a", "description": "", "depends_on": [], "coupling": "weak", "estimated_tokens": 5}
         ]
         assert ingest(records).vertex_count == 1
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("medium", "'medium' is not a valid CouplingLabel"),
+            ("WEAK", "'WEAK' is not a valid CouplingLabel"),
+            (["weak"], "['weak'] is not a valid CouplingLabel"),
+        ],
+    )
+    def test_unknown_declared_coupling(self, label, message):
+        doc = {"vertices": [{"id": "a", "declared_coupling": label}], "edges": []}
+        with pytest.raises(ParseError) as exc:
+            deserialize_dag(doc)
+        assert str(exc.value) == f"malformed canonical DAG document: {message}"
 
     def test_ingest_garbage(self):
         with pytest.raises(ParseError):
