@@ -29,7 +29,6 @@ from .dag import (
     TaskDag,
     ValidationError,
     ValidationReport,
-    coupling_from_label,
     deserialize_dag,
     load_dag,
     parse_decomposition,

@@ -43,19 +43,21 @@ class PricingTable:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PricingTable":
-        rates = {
-            name: Rate(
-                input_micro_per_1m=int(Decimal(str(row["input_per_1m"])) * MICRO_PER_DOLLAR),
-                output_micro_per_1m=int(Decimal(str(row["output_per_1m"])) * MICRO_PER_DOLLAR),
-            )
-            for name, row in doc["rates"].items()
-        }
-        return cls(as_of=doc["as_of"], rates=rates)
-
-    @classmethod
-    def from_file(cls, path: str) -> "PricingTable":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The table a pricing document holds; ``ValueError`` when a field is
+        missing or a rate is not a decimal number."""
+        try:
+            rates = {
+                name: Rate(
+                    input_micro_per_1m=int(Decimal(str(row["input_per_1m"])) * MICRO_PER_DOLLAR),
+                    output_micro_per_1m=int(Decimal(str(row["output_per_1m"])) * MICRO_PER_DOLLAR),
+                )
+                for name, row in doc["rates"].items()
+            }
+            return cls(as_of=doc["as_of"], rates=rates)
+        except KeyError as exc:
+            raise ValueError(f"pricing is missing field {exc}") from None
+        except (TypeError, AttributeError, ArithmeticError) as exc:
+            raise ValueError(f"malformed pricing: {exc!r}") from None
 
     @classmethod
     def default(cls) -> "PricingTable":

@@ -11,9 +11,9 @@ import enum
 import random
 from dataclasses import dataclass
 
-from .dag import Subtask, TaskDag
+from .dag import _COUPLING_VALUES, Subtask, TaskDag
 
-COUPLING_LEVELS = (0.0, 0.3, 0.7, 1.0)
+COUPLING_LEVELS = tuple(_COUPLING_VALUES.values())  # (0.0, 0.3, 0.7, 1.0)
 WEIGHT_RANGE = (100.0, 2000.0)
 UNIFORM_WEIGHT = 500.0
 

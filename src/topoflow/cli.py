@@ -21,19 +21,18 @@ from .convergence import (
     BoundDiverges,
     ConvergenceParams,
     SimConfig,
-    assumption_one_qualities,
-    confusion_matrix,
     format_confusion_matrix,
     simulate_variance,
     variance_ratio_bound,
 )
-from .dag import DagError, ParseError, ValidationError, ingest, load_dag
+from .dag import DagError, ParseError, ValidationError, load_dag
 from .execution import ExecutionEngine, ExecutionFailure, ExecutionTrace, embedding_relevance, make_plan
 from .routing import (
     RouterConfig,
     RoutingDecision,
     TopologyKind,
     calibrate_gamma,
+    calibration_task,
     route,
     split_dev_test,
 )
@@ -50,11 +49,19 @@ class UsageError(Exception):
     pass
 
 
-def _load_router_config(path: str | None) -> RouterConfig:
-    if path is None:
-        return RouterConfig()
+def _load_config(path: str, parse: Callable):
+    """``parse`` of the JSON file at ``path``; a document it rejects with
+    ``ValueError`` is a usage error."""
     with open(path, encoding="utf-8") as fh:
-        return RouterConfig.from_dict(json.load(fh))
+        doc = json.load(fh)
+    try:
+        return parse(doc)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_router_config(path: str | None) -> RouterConfig:
+    return RouterConfig() if path is None else _load_config(path, RouterConfig.from_dict)
 
 
 def _print_decision(decision: RoutingDecision) -> None:
@@ -97,8 +104,8 @@ def _make_pool(spec: str, base_dir: str) -> list[AgentBackend]:
     raise UsageError(f"unknown backend mode {spec!r}")
 
 
-def _manifest_number(manifest: dict, key: str, default, valid: Callable[[object], bool], expected: str):
-    """``manifest[key]`` (or ``default``) if it is a JSON number that ``valid`` accepts."""
+def _manifest_field(manifest: dict, key: str, default, valid: Callable[[object], bool], expected: str):
+    """``manifest[key]`` (or ``default``) if ``valid`` accepts it; a bool never passes."""
     value = manifest.get(key, default)
     if isinstance(value, bool) or not valid(value):
         raise UsageError(f"manifest field {key!r} must be {expected}, got {value!r}")
@@ -113,18 +120,23 @@ def cmd_exec(args) -> int:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
+    if not isinstance(manifest, dict):
+        raise UsageError("manifest must be a JSON object")
     for key in ("dag", "backend", "output_dir"):
         if key not in manifest:
             raise UsageError(f"manifest missing field {key!r}")
-    concurrency = _manifest_number(
+        _manifest_field(manifest, key, None, lambda v: isinstance(v, str), "a string")
+    for key in ("router_config", "pricing", "task"):
+        _manifest_field(manifest, key, None, lambda v: v is None or isinstance(v, str), "a string or null")
+    concurrency = _manifest_field(
         manifest, "concurrency", execution.DEFAULT_CONCURRENCY,
         lambda v: isinstance(v, int) and v >= 1, "an integer of at least 1",
     )
-    budget = _manifest_number(
+    budget = _manifest_field(
         manifest, "context_budget", execution.DEFAULT_CONTEXT_BUDGET,
         lambda v: isinstance(v, int) and v > 0, "a positive integer",
     )
-    theta_cs = float(_manifest_number(
+    theta_cs = float(_manifest_field(
         manifest, "theta_cs", synthesis.DEFAULT_THETA_CS,
         lambda v: isinstance(v, (int, float)) and 0 <= v <= 1, "a number in [0, 1]",
     ))
@@ -145,7 +157,7 @@ def cmd_exec(args) -> int:
         relevance=embedding_relevance(embedder),
     )
     ledger = CostLedger(
-        pricing=PricingTable.from_file(resolve(manifest["pricing"]))
+        pricing=_load_config(resolve(manifest["pricing"]), PricingTable.from_dict)
         if manifest.get("pricing")
         else PricingTable.default()
     )
@@ -262,10 +274,7 @@ def cmd_simulate(args) -> int:
 
 def _load_task_file(path: str):
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    dag = ingest(doc["dag"])
-    scores = {TopologyKind(k): float(v) for k, v in doc["scores"].items()}
-    return dag, scores
+        return calibration_task(json.load(fh))
 
 
 def cmd_calibrate(args) -> int:

@@ -12,7 +12,7 @@ import functools
 import json
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -36,16 +36,6 @@ _COUPLING_VALUES = {
     CouplingLabel.STRONG: 0.7,
     CouplingLabel.CRITICAL: 1.0,
 }
-
-
-def coupling_from_label(label: CouplingLabel | str) -> float:
-    """Map a declared coupling label to its numeric strength in [0, 1]."""
-    if isinstance(label, str):
-        try:
-            label = CouplingLabel(label.lower())
-        except ValueError:
-            raise ValueError(f"unknown coupling label: {label!r}") from None
-    return _COUPLING_VALUES[label]
 
 
 class DagError(Exception):
@@ -131,7 +121,7 @@ class TaskDag:
         report = validate_dag(self)
         if not report.ok:
             raise ValidationError(report)
-        return _build_index(self)
+        return report.index
 
     def subtask(self, vid: str) -> Subtask:
         return self.index.subtasks[vid]
@@ -139,51 +129,6 @@ class TaskDag:
     def predecessors(self, vid: str) -> list[str]:
         index = self.index
         return [index.order[p] for p in index.pred[index.position[vid]]]
-
-
-def _build_index(dag: TaskDag) -> DagIndex:
-    subtasks = {v.id: v for v in dag.vertices}
-    ids = sorted(subtasks)
-    n = len(ids)
-    rank = dict(zip(ids, range(n)))
-    ranked = [(rank[u], rank[v]) for u, v in dag.edges]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i, j in ranked:
-        adj[i].append(j)
-        indeg[j] += 1
-    # ranks order like ids, so a FIFO over rank-sorted batches is Kahn's
-    # order with ties broken by sorted id
-    ready = [i for i in range(n) if not indeg[i]]
-    for i in ready:
-        out = adj[i]
-        out.sort()
-        for j in out:
-            indeg[j] -= 1
-            if not indeg[j]:
-                ready.append(j)
-    pos = [0] * n  # by rank
-    for p, i in enumerate(ready):
-        pos[i] = p
-    order = [ids[i] for i in ready]
-    position = dict(zip(order, range(n)))
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, j in ranked:
-        p, q = pos[i], pos[j]
-        succ[p].append(q)
-        pred[q].append(p)
-    level = [1] * n
-    for i, out in enumerate(succ):
-        for j in out:
-            if level[j] <= level[i]:
-                level[j] = level[i] + 1
-    layers: list[list[str]] = [[] for _ in range(max(level, default=0))]
-    for vid, lv in zip(order, level):
-        layers[lv - 1].append(vid)
-    for layer in layers:
-        layer.sort()
-    return DagIndex(order, position, subtasks, succ, pred, level, layers)
 
 
 @dataclass(frozen=True)
@@ -196,30 +141,40 @@ class Violation:
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...] = ()
+    index: DagIndex | None = field(default=None, compare=False, repr=False)  # set when ok
 
 
 def validate_dag(dag: TaskDag) -> ValidationReport:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """Check every structural invariant; violations are data, not exceptions.
+
+    One pass numbers the distinct ids by sorted rank, builds one integer
+    adjacency and runs Kahn's algorithm once.  Kahn leaves a vertex unordered
+    exactly when there is a cycle; only then is one named.  A valid DAG's
+    report carries its index, built in that Kahn order.
+    """
     violations: list[Violation] = []
 
-    num: dict[str, int] = {}  # each distinct id, numbered in order of first use
+    rank: dict[str, int] = {}  # each distinct id, then its sorted rank
     for v in dag.vertices:
         if not v.id:
             violations.append(Violation("duplicate_id", "empty vertex id"))
-        elif v.id in num:
+        elif v.id in rank:
             violations.append(Violation("duplicate_id", f"duplicate vertex id {v.id!r}"))
-        num.setdefault(v.id, len(num))
+        rank[v.id] = 0
         if not v.weight > 0:
             violations.append(Violation("bad_weight", f"vertex {v.id!r} has non-positive weight {v.weight}"))
 
-    n = len(num)
+    ids = sorted(rank)
+    n = len(ids)
+    rank.update(zip(ids, range(n)))
     adj: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
+    loop = None  # the vertex of the first self-edge
     seen_edges: set[tuple[str, str]] = set()
     coupling = dag.coupling
     for edge in dag.edges:
         u, v = edge
-        i, j = num.get(u), num.get(v)
+        i, j = rank.get(u), rank.get(v)
         if i is None or j is None:
             violations.append(Violation("dangling_edge", f"edge {edge} references unknown vertex"))
             continue
@@ -227,6 +182,7 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
         indeg[j] += 1
         if u == v:
             violations.append(Violation("self_edge", f"self-edge on {u!r}"))
+            loop = u if loop is None else loop
         if edge in seen_edges:
             violations.append(Violation("duplicate_edge", f"duplicate edge {edge}"))
         seen_edges.add(edge)
@@ -237,60 +193,76 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
             continue
         if not (0.0 <= c <= 1.0):
             violations.append(Violation("coupling_range", f"edge {edge} coupling {c} out of [0, 1]"))
+    del rank, seen_edges
 
-    # Kahn's algorithm leaves a vertex unordered exactly when there is a
-    # cycle; only then does the DFS run, and it finds one to name
+    # ranks order like ids, so a FIFO over rank-sorted batches is Kahn's
+    # order with ties broken by sorted id; the DFS needs adj in edge order
     ready = [i for i in range(n) if not indeg[i]]
     for i in ready:
-        for j in adj[i]:
+        for j in sorted(adj[i]):
             indeg[j] -= 1
             if not indeg[j]:
                 ready.append(j)
+    del indeg
     if len(ready) < n:
-        cycle = _find_cycle(set(num), [e for e in dag.edges if e[0] in num and e[1] in num])
+        cycle = [loop, loop] if loop is not None else _find_cycle(ids, adj)
         violations.append(Violation("cycle", "cycle " + " -> ".join(cycle)))
+    if violations:
+        return ValidationReport(ok=False, violations=tuple(violations))
+    del adj
+    return ValidationReport(ok=True, index=_build_index(dag, [ids[i] for i in ready]))
 
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+def _build_index(dag: TaskDag, order: list[str]) -> DagIndex:
+    """Index a valid DAG whose ids are listed in ``order``, a topological order."""
+    n = len(order)
+    position = dict(zip(order, range(n)))
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for u, v in dag.edges:
+        p, q = position[u], position[v]
+        succ[p].append(q)
+        pred[q].append(p)
+    level = [1] * n
+    for i, out in enumerate(succ):
+        for j in out:
+            if level[j] <= level[i]:
+                level[j] = level[i] + 1
+    layers: list[list[str]] = [[] for _ in range(max(level, default=0))]
+    for vid, lv in zip(order, level):
+        layers[lv - 1].append(vid)
+    for layer in layers:
+        layer.sort()
+    subtasks = {v.id: v for v in dag.vertices}
+    return DagIndex(order, position, subtasks, succ, pred, level, layers)
 
 
-def _find_cycle(ids: set[str], edges: Iterable[tuple[str, str]]) -> list[str] | None:
-    """Return a witness cycle [a, ..., a] via iterative DFS, or None."""
-    adj: dict[str, list[str]] = {i: [] for i in ids}
-    for u, v in edges:
-        if u == v:
-            return [u, u]
-        adj[u].append(v)
+def _find_cycle(ids: list[str], adj: list[list[int]]) -> list[str]:
+    """A witness cycle [a, ..., a] in a digraph without self-edges that has
+    one: the first back edge of an iterative DFS from roots in rank order,
+    successors in edge order."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in ids}
-    parent: dict[str, str] = {}
-    for root in sorted(ids):
+    color = [WHITE] * len(ids)
+    for root in range(len(ids)):
         if color[root] != WHITE:
             continue
-        stack: list[tuple[str, int]] = [(root, 0)]
+        stack: list[tuple[int, int]] = [(root, 0)]  # the gray path, root first
         color[root] = GRAY
         while stack:
             node, idx = stack[-1]
             if idx < len(adj[node]):
                 stack[-1] = (node, idx + 1)
                 nxt = adj[node][idx]
-                if color[nxt] == GRAY:
-                    # unwind the gray path to produce the witness
-                    path = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        path.append(cur)
-                        cur = parent[cur]
-                    path.append(nxt)
-                    path[1:-1] = path[1:-1][::-1]
-                    return path
+                if color[nxt] == GRAY:  # the gray path from nxt, closed by this edge
+                    path = [i for i, _ in stack]
+                    return [ids[i] for i in path[path.index(nxt):]] + [ids[nxt]]
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
-                    parent[nxt] = node
                     stack.append((nxt, 0))
             else:
                 color[node] = BLACK
                 stack.pop()
-    return None
+    raise AssertionError("no cycle to name")
 
 
 # ---------------------------------------------------------------------------
@@ -314,27 +286,33 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
     declared: set[str] = set()
 
     for i, rec in enumerate(records):
+        if not isinstance(rec, Mapping):
+            raise ParseError(f"record {i} is not an object: {rec!r}")
         for f in _RECORD_FIELDS:
             if f not in rec:
                 raise ParseError(f"record {i} ({rec.get('id', '?')!r}) missing field {f!r}")
-        vid = rec["id"]
+        vid, description, tokens = rec["id"], rec["description"], rec.get("estimated_tokens")
         if not isinstance(vid, str) or not vid:
             raise ParseError(f"record {i} has invalid id {vid!r}")
+        if not isinstance(description, str):
+            raise ParseError(f"record {vid!r} has a description that is not a string: {description!r}")
+        if not isinstance(rec["depends_on"], list):
+            raise ParseError(f"record {vid!r} has depends_on that is not a list: {rec['depends_on']!r}")
         label = _LABELS.get(str(rec["coupling"]).lower())
         if label is None:
             raise ParseError(f"record {vid!r} has unknown coupling label {rec['coupling']!r}")
-        if "estimated_tokens" in rec and rec["estimated_tokens"] is not None:
-            weight = float(rec["estimated_tokens"])
-        else:
-            weight = DEFAULT_WEIGHT
-            logger.warning("record %r missing estimated_tokens; defaulting to %s", vid, weight)
-        vertices.append(Subtask(id=vid, description=rec["description"], weight=weight, declared_coupling=label))
+        if tokens is None:
+            tokens = DEFAULT_WEIGHT
+            logger.warning("record %r missing estimated_tokens; defaulting to %s", vid, tokens)
+        elif isinstance(tokens, bool) or not isinstance(tokens, (int, float)):
+            raise ParseError(f"record {vid!r} has estimated_tokens that is not a number: {tokens!r}")
+        vertices.append(Subtask(id=vid, description=description, weight=float(tokens), declared_coupling=label))
         declared.add(vid)
 
     for rec, sub in zip(records, vertices):
         c = _COUPLING_VALUES[sub.declared_coupling]
         for dep in rec["depends_on"]:
-            if dep not in declared:
+            if not isinstance(dep, str) or dep not in declared:
                 raise ParseError(f"record {sub.id!r} depends on undeclared id {dep!r}")
             edges.append((dep, sub.id))
             coupling[(dep, sub.id)] = c
@@ -375,15 +353,19 @@ def _declared_label(value) -> CouplingLabel:
 def deserialize_dag(doc: Mapping) -> TaskDag:
     """Inverse of :func:`serialize_dag`; validates and indexes the result."""
     try:
-        vertices = tuple(
-            Subtask(
-                id=rec["id"],
-                description=rec.get("description", ""),
+        vertices: list[Subtask] = []
+        for rec in doc["vertices"]:
+            vid, description = rec["id"], rec.get("description", "")
+            if not isinstance(vid, str):
+                raise TypeError(f"vertex id {vid!r} is not a string")
+            if not isinstance(description, str):
+                raise TypeError(f"vertex {vid!r} has a description that is not a string: {description!r}")
+            vertices.append(Subtask(
+                id=vid,
+                description=description,
                 weight=float(rec.get("weight", DEFAULT_WEIGHT)),
                 declared_coupling=_declared_label(rec.get("declared_coupling", "none")),
-            )
-            for rec in doc["vertices"]
-        )
+            ))
         edges: list[tuple[str, str]] = []
         coupling: dict[tuple[str, str], float] = {}
         for e in doc["edges"]:
@@ -392,7 +374,7 @@ def deserialize_dag(doc: Mapping) -> TaskDag:
             coupling[edge] = float(e["coupling"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed canonical DAG document: {exc}") from exc
-    dag = TaskDag(vertices=vertices, edges=tuple(edges), coupling=coupling)
+    dag = TaskDag(vertices=tuple(vertices), edges=tuple(edges), coupling=coupling)
     dag.index  # validates, or raises ValidationError
     return dag
 

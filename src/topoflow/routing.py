@@ -18,9 +18,9 @@ import enum
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .dag import TaskDag
+from .dag import ParseError, TaskDag, ingest
 from .metrics import DagMetrics, WidthMode, compute_metrics
 
 DEFAULT_THETA_OMEGA = 0.5
@@ -62,15 +62,25 @@ class RouterConfig:
     width_mode: WidthMode = WidthMode.APPROXIMATE
 
     def __post_init__(self):
+        for name in ("theta_omega", "theta_gamma", "theta_delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (0.0 < self.theta_omega <= 1.0):
             raise ValueError(f"theta_omega {self.theta_omega} out of (0, 1]")
         if not (0.0 <= self.theta_gamma <= 1.0):
             raise ValueError(f"theta_gamma {self.theta_gamma} out of [0, 1]")
-        if self.theta_delta < 1:
+        if not self.theta_delta >= 1:
             raise ValueError(f"theta_delta {self.theta_delta} must be positive")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RouterConfig":
+        """The config a JSON object names; ``ValueError`` on any key or value it cannot take."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"router config must be a JSON object, got {doc!r}")
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown router config key(s): {', '.join(unknown)}")
         kwargs = dict(doc)
         if "width_mode" in kwargs:
             kwargs["width_mode"] = WidthMode(kwargs["width_mode"])
@@ -166,6 +176,23 @@ def split_dev_test(
     dev = [tid for i, tid in enumerate(task_ids) if i in dev_ix]
     test = [tid for i, tid in enumerate(task_ids) if i not in dev_ix]
     return dev, test
+
+
+def calibration_task(doc) -> tuple[TaskDag, dict[TopologyKind, float]]:
+    """A calibration task from its JSON document: a ``dag`` in either
+    ingestible form and a ``scores`` object with a quality for every topology.
+    Raises :class:`ParseError` when the document is malformed."""
+    if not isinstance(doc, dict) or "dag" not in doc or not isinstance(doc.get("scores"), dict):
+        raise ParseError("a calibration task needs a 'dag' and a 'scores' object")
+    dag = ingest(doc["dag"])
+    try:
+        scores = {TopologyKind(k): float(v) for k, v in doc["scores"].items()}
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad calibration score: {exc}") from exc
+    missing = [k.value for k in TopologyKind if k not in scores]
+    if missing:
+        raise ParseError(f"calibration task has no score for {', '.join(missing)}")
+    return dag, scores
 
 
 def calibrate_gamma(

@@ -42,6 +42,20 @@ class TestPricingTable:
         assert rate.input_micro_per_1m == 150_000
         assert rate.output_micro_per_1m == 600_000
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rates": {}},
+            {"as_of": "2026-01-01"},
+            {"as_of": "2026-01-01", "rates": {"m": {"input_per_1m": "0.15"}}},
+            {"as_of": "2026-01-01", "rates": {"m": {"input_per_1m": "cheap", "output_per_1m": 0}}},
+            {"as_of": "2026-01-01", "rates": ["m"]},
+        ],
+    )
+    def test_from_dict_rejects_malformed_documents(self, doc):
+        with pytest.raises(ValueError, match="pricing"):
+            PricingTable.from_dict(doc)
+
 
 class TestCostLedger:
     def test_reference_costs_exact(self):

@@ -697,3 +697,64 @@ def test_import_loads_only_the_stdlib_and_no_http():
     assert "topoflow.cli" in loaded
     assert sorted({m.split(".")[0] for m in loaded} - sys.stdlib_module_names - {"topoflow"}) == []
     assert "http.client" not in loaded and "ssl" not in loaded
+
+
+def _diamond_records(**changes):
+    """The diamond's decomposer records, with record v1's fields replaced."""
+    with open(os.path.join(FIXTURES, "diamond.json"), encoding="utf-8") as fh:
+        records = json.load(fh)
+    records[1].update(changes)
+    return records
+
+
+_TASK_SCORES = {"parallel": 0.5, "sequential": 0.9, "hierarchical": 0.4, "hybrid": 0.6}
+_PRICING = {"as_of": "2026-01-01", "rates": {"scripted": {"input_per_1m": "0", "output_per_1m": "0"}}}
+
+# (where the document goes, the document, exit code); "exec-fields" documents
+# are manifest fields
+MALFORMED_INPUTS = {
+    "canonical-id-not-string": ("route-dag", {"vertices": [{"id": 1}, {"id": "a"}], "edges": []}, 3),
+    "canonical-description-not-string": ("route-dag", {"vertices": [{"id": "a", "description": 5}], "edges": []}, 3),
+    "record-description-not-string": ("exec-dag", _diamond_records(description=5), 3),
+    "estimated-tokens-not-number": ("route-dag", _diamond_records(estimated_tokens="many"), 3),
+    "depends-on-not-list": ("route-dag", _diamond_records(depends_on=5), 3),
+    "depends-on-a-string": ("route-dag", _diamond_records(depends_on="v0"), 3),
+    "record-not-object": ("route-dag", [*_diamond_records(), "v4"], 3),
+    "config-unknown-key": ("route-config", {"theta_gama": 0.5}, 2),
+    "config-threshold-not-number": ("route-config", {"theta_delta": "5"}, 2),
+    "config-threshold-out-of-range": ("route-config", {"theta_omega": 1.5}, 2),
+    "manifest-config-unknown-key": ("exec-config", {"theta_gama": 0.5}, 2),
+    "pricing-no-as-of": ("exec-pricing", {"rates": _PRICING["rates"]}, 2),
+    "pricing-no-rates": ("exec-pricing", {"as_of": "2026-01-01"}, 2),
+    "pricing-row-no-output": ("exec-pricing", {**_PRICING, "rates": {"scripted": {"input_per_1m": "0"}}}, 2),
+    "manifest-backend-not-string": ("exec-fields", {"backend": 5}, 2),
+    "manifest-dag-not-string": ("exec-fields", {"dag": None}, 2),
+    "manifest-not-object": ("exec-manifest", ["dag.json"], 2),
+    "task-no-dag": ("calibrate", {"scores": _TASK_SCORES}, 3),
+    "task-no-scores": ("calibrate", {"dag": _diamond_records()}, 3),
+    "task-unknown-topology": ("calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "star": 1.0}}, 3),
+    "task-topology-unscored": ("calibrate", {"dag": _diamond_records(), "scores": {"parallel": 0.5}}, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
+    where, doc, code = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    diamond = os.path.join(FIXTURES, "diamond.json")
+    argv = {
+        "route-dag": lambda: ["route", str(path)],
+        "route-config": lambda: ["route", diamond, "--config", str(path)],
+        "exec-dag": lambda: ["exec", write_manifest(tmp_path, dag=str(path))],
+        "exec-manifest": lambda: ["exec", str(path)],
+        "exec-config": lambda: ["exec", write_manifest(tmp_path, router_config=str(path))],
+        "exec-pricing": lambda: ["exec", write_manifest(tmp_path, pricing=str(path))],
+        "exec-fields": lambda: ["exec", write_manifest(tmp_path, **doc)],
+        "calibrate": lambda: ["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")],
+    }[where]()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " if code == 2 else "data error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cal").exists()

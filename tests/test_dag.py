@@ -11,7 +11,7 @@ from topoflow.dag import (
     ParseError,
     Subtask,
     TaskDag,
-    coupling_from_label,
+    Violation,
     deserialize_dag,
     ingest,
     parse_decomposition,
@@ -60,6 +60,15 @@ def shuffled_dags(draw):
     return TaskDag(vertices=tuple(vertices), edges=tuple(edges), coupling=dict.fromkeys(edges, 0.3))
 
 
+def edge_coupling(label):
+    """The strength that ``parse_decomposition`` gives an edge into a record labelled ``label``."""
+    dag = parse_decomposition([
+        {"id": "a", "description": "", "depends_on": [], "coupling": "none"},
+        {"id": "b", "description": "", "depends_on": ["a"], "coupling": label},
+    ])
+    return dag.coupling[("a", "b")]
+
+
 class TestCouplingFromLabel:
     @pytest.mark.parametrize(
         "label,value",
@@ -71,14 +80,14 @@ class TestCouplingFromLabel:
         ],
     )
     def test_values(self, label, value):
-        assert coupling_from_label(label) == value
+        assert edge_coupling(label.value) == value
 
     def test_string_accepted(self):
-        assert coupling_from_label("Weak") == 0.3
+        assert edge_coupling("Weak") == 0.3
 
     def test_unknown_label(self):
-        with pytest.raises(ValueError):
-            coupling_from_label("medium")
+        with pytest.raises(ParseError, match="unknown coupling label 'medium'"):
+            edge_coupling("medium")
 
 
 class TestValidateDag:
@@ -136,6 +145,15 @@ class TestValidateDag:
             )
             report = validate_dag(bad)
             assert any(x.kind in ("cycle", "duplicate_edge") for x in report.violations)
+
+    def test_cycle_witness_follows_edge_order(self):
+        # source a reaches two cycles, c-e first in edge order and b-d first
+        # in sorted order; the DFS takes successors in edge order
+        edges = (("a", "c"), ("a", "b"), ("b", "d"), ("d", "b"), ("c", "e"), ("e", "c"))
+        dag = TaskDag(tuple(Subtask(vid) for vid in "abcde"), edges, dict.fromkeys(edges, 0.3))
+        report = validate_dag(dag)
+        assert report == oracle_validate_dag(dag)
+        assert report.violations == (Violation("cycle", "cycle c -> e -> c"),)
 
     @settings(max_examples=400, deadline=None)
     @given(flawed_dags())

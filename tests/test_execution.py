@@ -12,7 +12,6 @@ import pytest
 
 from topoflow.backends import AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from topoflow.cli import main
-from topoflow import dag as dag_module
 from topoflow import execution
 from topoflow.dag import Subtask
 from topoflow.execution import (
@@ -360,14 +359,12 @@ class TestMakePlan:
         assert plan.order == (("v0",), ("v1", "v2"), ("v3",))
 
     @pytest.mark.parametrize("topology", [PARALLEL, HIERARCHICAL], ids=["topology0", "topology1"])
-    def test_layers_the_dag_once(self, diamond, topology, monkeypatch):
-        build = dag_module._build_index
-        calls = []
-        monkeypatch.setattr(dag_module, "_build_index", lambda dag: calls.append(dag) or build(dag))
+    def test_layers_the_dag_once(self, diamond, topology, validations):
+        # validation builds the index, so one validation is one layering
         first = make_plan(diamond, topology, [MockBackend()])
         second = make_plan(diamond, topology, [MockBackend()])
         assert first.order == second.order
-        assert calls == [diamond]
+        assert validations == [diamond]
 
     def test_exec_validates_the_dag_once(self, tmp_path, validations):
         # the diamond re-routes hybrid -> hybrid -> hybrid: one load, three

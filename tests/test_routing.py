@@ -121,6 +121,21 @@ class TestRouterConfig:
         with pytest.raises(ValueError):
             RouterConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"theta_gama": 0.5}, "unknown router config key(s): theta_gama"),
+            ({"theta_delta": "5"}, "theta_delta must be a number, got '5'"),
+            ({"theta_omega": True}, "theta_omega must be a number, got True"),
+            ({"theta_delta": float("nan")}, "theta_delta nan must be positive"),
+            ([0.5], "router config must be a JSON object, got [0.5]"),
+        ],
+    )
+    def test_from_dict_rejects_what_it_cannot_take(self, doc, message):
+        with pytest.raises(ValueError) as exc:
+            RouterConfig.from_dict(doc)
+        assert str(exc.value) == message
+
 
 class TestSplitDevTest:
     def test_example_sizes(self):
