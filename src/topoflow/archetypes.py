@@ -32,7 +32,12 @@ class DagArchetype:
     seed: int = 0
 
 
-def _edges_for(kind: ArchetypeKind, size: int) -> list[tuple[int, int]]:
+def archetype_edges(kind: ArchetypeKind, size: int) -> list[tuple[int, int]]:
+    """The archetype's edges as vertex-number pairs, in the order that
+    :func:`draw_couplings` follows; raises ``ValueError`` on a size the
+    archetype cannot build (below 1, or below 3 for a diamond)."""
+    if size < 1:
+        raise ValueError(f"archetype size must be >= 1, got {size}")
     if kind is ArchetypeKind.CHAIN:
         return [(i, i + 1) for i in range(size - 1)]
     if kind is ArchetypeKind.WIDE_SHALLOW:
@@ -55,12 +60,18 @@ def _edges_for(kind: ArchetypeKind, size: int) -> list[tuple[int, int]]:
     raise ValueError(f"unknown archetype kind {kind}")
 
 
+def draw_couplings(rng: random.Random, count: int) -> list[float]:
+    """One coupling level per edge, in edge order."""
+    return [rng.choice(COUPLING_LEVELS) for _ in range(count)]
+
+
 def generate_archetype(spec: DagArchetype, *, uniform_weights: bool = False) -> TaskDag:
-    """Build the archetype shape with seeded random weights and couplings."""
-    if spec.size < 1:
-        raise ValueError(f"archetype size must be >= 1, got {spec.size}")
+    """Build the archetype shape with seeded random weights and couplings.
+
+    The weights are drawn first, then the couplings; with uniform weights
+    the couplings are the only draws."""
+    edges_ix = archetype_edges(spec.kind, spec.size)
     rng = random.Random(spec.seed)
-    edges_ix = _edges_for(spec.kind, spec.size)
     vertices = []
     for i in range(spec.size):
         weight = UNIFORM_WEIGHT if uniform_weights else rng.uniform(*WEIGHT_RANGE)
@@ -72,7 +83,7 @@ def generate_archetype(spec: DagArchetype, *, uniform_weights: bool = False) -> 
             )
         )
     edges = tuple((f"v{u}", f"v{v}") for u, v in edges_ix)
-    coupling = {e: rng.choice(COUPLING_LEVELS) for e in edges}
+    coupling = dict(zip(edges, draw_couplings(rng, len(edges))))
     return TaskDag(vertices=tuple(vertices), edges=edges, coupling=coupling)
 
 
@@ -87,5 +98,5 @@ def random_dag(n: int, edge_prob: float, seed: int) -> TaskDag:
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 edges.append((f"v{i}", f"v{j}"))
-    coupling = {e: rng.choice(COUPLING_LEVELS) for e in edges}
+    coupling = dict(zip(edges, draw_couplings(rng, len(edges))))
     return TaskDag(vertices=vertices, edges=tuple(edges), coupling=coupling)

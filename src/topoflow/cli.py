@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import convergence, execution, routing, runlog, synthesis
 from .accounting import CostLedger, Phase, PricingTable, RunReport, format_distribution, topology_distribution
-from .archetypes import ArchetypeKind, DagArchetype, generate_archetype
+from .archetypes import ArchetypeKind, DagArchetype, archetype_edges
 from .backends import AgentBackend, AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from .convergence import (
     BoundDiverges,
@@ -255,7 +255,7 @@ def cmd_simulate(args) -> int:
             trials=args.trials,
             seed=args.seed,
         )
-        generate_archetype(cfg.archetype)  # raises on a size the archetype cannot build
+        archetype_edges(cfg.archetype.kind, cfg.archetype.size)  # raises on a size the archetype cannot build
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = simulate_variance(cfg)
@@ -278,6 +278,16 @@ def _load_task_file(path: str):
 
 
 def cmd_calibrate(args) -> int:
+    try:
+        if args.synthetic is not None and args.synthetic < 1:
+            raise ValueError(f"--synthetic {args.synthetic} must be a positive integer")
+        if not 0.0 < args.fraction < 1.0:
+            raise ValueError(f"--fraction {args.fraction} out of (0, 1)")
+        grid = tuple(float(g) for g in args.grid.split(","))
+        for g in grid:
+            RouterConfig(theta_gamma=g)  # raises on a threshold out of [0, 1]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.synthetic:
         tasks = convergence.make_calibration_corpus(args.synthetic, seed=args.seed)
     else:
@@ -292,7 +302,6 @@ def cmd_calibrate(args) -> int:
     ids = [str(i) for i in range(len(tasks))]
     dev_ids, test_ids = split_dev_test(ids, args.fraction, args.seed)
     dev = [tasks[int(i)] for i in dev_ids]
-    grid = tuple(float(g) for g in args.grid.split(","))
     chosen, table = calibrate_gamma(dev, grid=grid)
     os.makedirs(args.out, exist_ok=True)
     runlog.write_csv(

@@ -306,7 +306,11 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
             logger.warning("record %r missing estimated_tokens; defaulting to %s", vid, tokens)
         elif isinstance(tokens, bool) or not isinstance(tokens, (int, float)):
             raise ParseError(f"record {vid!r} has estimated_tokens that is not a number: {tokens!r}")
-        vertices.append(Subtask(id=vid, description=description, weight=float(tokens), declared_coupling=label))
+        try:
+            weight = float(tokens)
+        except OverflowError as exc:
+            raise ParseError(f"record {vid!r} has estimated_tokens too large for a float") from exc
+        vertices.append(Subtask(id=vid, description=description, weight=weight, declared_coupling=label))
         declared.add(vid)
 
     for rec, sub in zip(records, vertices):
@@ -372,7 +376,7 @@ def deserialize_dag(doc: Mapping) -> TaskDag:
             edge = (e["source"], e["target"])
             edges.append(edge)
             coupling[edge] = float(e["coupling"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed canonical DAG document: {exc}") from exc
     dag = TaskDag(vertices=tuple(vertices), edges=tuple(edges), coupling=coupling)
     dag.index  # validates, or raises ValidationError

@@ -5,8 +5,11 @@ from collections import deque
 
 import pytest
 
+from topoflow import convergence
 from topoflow import dag as dag_module
+from topoflow.archetypes import COUPLING_LEVELS, UNIFORM_WEIGHT, WEIGHT_RANGE, ArchetypeKind, DagArchetype
 from topoflow.dag import DagIndex, Subtask, TaskDag, ValidationReport, Violation
+from topoflow.metrics import WidthMode, compute_metrics
 
 
 def make_dag(n, edges, *, weights=None, couplings=None, default_coupling=0.3):
@@ -232,6 +235,95 @@ def oracle_find_cycle(ids, edges):
                 color[node] = BLACK
                 stack.pop()
     return None
+
+
+# -- reference implementations of the archetype generator and the simulator ---
+
+def oracle_generate_archetype(spec, *, uniform_weights=False):
+    """Reference for ``topoflow.archetypes.generate_archetype``: the size
+    checks, the edge lists and the weight and coupling draws written out."""
+    kind, size = spec.kind, spec.size
+    if size < 1:
+        raise ValueError(f"archetype size must be >= 1, got {size}")
+    rng = random.Random(spec.seed)
+    if kind is ArchetypeKind.CHAIN:
+        edges_ix = [(i, i + 1) for i in range(size - 1)]
+    elif kind is ArchetypeKind.WIDE_SHALLOW:
+        edges_ix = [(0, i) for i in range(1, size)]
+    elif kind is ArchetypeKind.DEEP_NARROW:
+        spine = (size + 1) // 2
+        edges_ix = [(i, i + 1) for i in range(spine - 1)]
+        edges_ix += [(j, spine + j) for j in range(size - spine)]
+    elif kind is ArchetypeKind.DIAMOND:
+        if size < 3:
+            raise ValueError(f"diamond archetype needs size >= 3, got {size}")
+        edges_ix = [e for mid in range(1, size - 1) for e in ((0, mid), (mid, size - 1))]
+    else:
+        raise ValueError(f"unknown archetype kind {kind}")
+    vertices = []
+    for i in range(size):
+        weight = UNIFORM_WEIGHT if uniform_weights else rng.uniform(*WEIGHT_RANGE)
+        vertices.append(Subtask(id=f"v{i}", description=f"{kind.value} subtask {i}", weight=weight))
+    edges = tuple((f"v{u}", f"v{v}") for u, v in edges_ix)
+    coupling = {e: rng.choice(COUPLING_LEVELS) for e in edges}
+    return TaskDag(vertices=tuple(vertices), edges=edges, coupling=coupling)
+
+
+def oracle_simulate_variance(cfg):
+    """Reference for ``topoflow.convergence.simulate_variance``: every trial
+    regenerates its whole DAG and computes its metrics from scratch."""
+    rows = []
+    var_m_sum = var_t_sum = bound_sum = omega_sum = gamma_sum = 0.0
+    for t in range(cfg.trials):
+        dag_seed = cfg.seed * 1_000_003 + t
+        dag = oracle_generate_archetype(
+            DagArchetype(cfg.archetype.kind, cfg.archetype.size, seed=dag_seed), uniform_weights=True
+        )
+        m = compute_metrics(dag, mode=WidthMode.EXACT)
+        rng = random.Random(dag_seed ^ 0x5EED5C0E)
+        scores = [convergence.S_STAR - cfg.epsilon * rng.random() for _ in range(convergence.POOL_SIZE)]
+        var_m = convergence._variance(scores)
+        quals = convergence.assumption_one_qualities(dag, base=scores[0], metrics=m)
+        var_t = convergence._variance(list(quals.values()))
+        try:
+            bound = convergence.variance_ratio_bound(
+                convergence.ConvergenceParams(
+                    epsilon=cfg.epsilon, omega=m.width_exact, gamma=m.coupling_density, k=m.vertex_count
+                )
+            )
+        except convergence.BoundDiverges:
+            bound = float("inf")
+        var_m_sum += var_m
+        var_t_sum += var_t
+        bound_sum += bound
+        omega_sum += m.width_exact
+        gamma_sum += m.coupling_density
+        rows.append(
+            {
+                "trial": t,
+                "omega": m.width_exact,
+                "gamma": round(m.coupling_density, 6),
+                "var_model": var_m,
+                "var_topology": var_t,
+                "ratio": var_t / var_m if var_m else float("inf"),
+                "bound": bound,
+            }
+        )
+    n = cfg.trials
+    var_m_mean = var_m_sum / n
+    var_t_mean = var_t_sum / n
+    return convergence.SimResult(
+        var_model=var_m_mean,
+        var_topology=var_t_mean,
+        ratio=var_t_mean / var_m_mean if var_m_mean else float("inf"),
+        bound=bound_sum / n,
+        mean_omega=omega_sum / n,
+        mean_gamma=gamma_sum / n,
+        k=cfg.archetype.size,
+        trials=n,
+        epsilon=cfg.epsilon,
+        rows=rows,
+    )
 
 
 @pytest.fixture

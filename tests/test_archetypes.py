@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoflow.archetypes import (
     COUPLING_LEVELS,
@@ -10,6 +12,8 @@ from topoflow.archetypes import (
 )
 from topoflow.dag import validate_dag
 from topoflow.metrics import compute_metrics
+
+from conftest import oracle_generate_archetype
 
 
 class TestShapes:
@@ -87,3 +91,21 @@ class TestRandomDag:
     def test_density_extremes(self):
         assert random_dag(6, 0.0, 0).edge_count == 0
         assert random_dag(6, 1.0, 0).edge_count == 15
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ArchetypeKind)),
+    size=st.integers(-1, 30),
+    seed=st.integers(-(2**40), 2**40),
+    uniform=st.booleans(),
+)
+def test_generate_matches_the_reference(kind, size, seed, uniform):
+    spec = DagArchetype(kind, size, seed=seed)
+    try:
+        want = oracle_generate_archetype(spec, uniform_weights=uniform)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            generate_archetype(spec, uniform_weights=uniform)
+        return
+    assert repr(generate_archetype(spec, uniform_weights=uniform)) == repr(want)

@@ -496,6 +496,14 @@ class TestRatio:
         assert rc == 2
 
     @pytest.mark.parametrize(
+        "omega, eps", [("3", "1e-200"), ("1e308", "1e-300")]
+    )
+    def test_bound_beyond_the_float_range_prints_inf(self, omega, eps, capsys):
+        rc = main(["ratio", "--omega", omega, "--gamma", "0", "--k", "1", "--eps", eps])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "inf"
+
+    @pytest.mark.parametrize(
         "flag, value", [("--omega", "nan"), ("--eps", "nan"), ("--c-tau", "nan"), ("--c-tau", "inf")]
     )
     def test_non_finite_usage_error(self, flag, value, capsys):
@@ -518,6 +526,12 @@ class TestSimulate:
         assert summary["trials"] == 25
         assert summary["satisfies_bound"] is True
         assert "OK" in capsys.readouterr().out
+
+    def test_tiny_eps_writes_an_infinite_bound(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--archetype", "diamond", "--size", "6", "--trials", "5", "--eps", "1e-200"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["bound"] == float("inf")
 
     @pytest.mark.parametrize(
         "flags",
@@ -574,6 +588,21 @@ class TestCalibrate:
 
     def test_no_inputs(self, capsys):
         assert main(["calibrate"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--synthetic", "-3"],
+            ["--synthetic", "20", "--fraction", "1.5"],
+            ["--synthetic", "20", "--grid", "a,b"],
+            ["--synthetic", "20", "--grid", "2.0"],
+        ],
+    )
+    def test_bad_flags_are_usage_errors(self, flags, tmp_path, capsys):
+        out = tmp_path / "cal"
+        assert main(["calibrate", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()
 
 
 class TestReport:
@@ -734,6 +763,13 @@ MALFORMED_INPUTS = {
     "task-no-scores": ("calibrate", {"dag": _diamond_records()}, 3),
     "task-unknown-topology": ("calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "star": 1.0}}, 3),
     "task-topology-unscored": ("calibrate", {"dag": _diamond_records(), "scores": {"parallel": 0.5}}, 3),
+    "estimated-tokens-huge-int": ("route-dag", _diamond_records(estimated_tokens=10**400), 3),
+    "canonical-weight-huge-int": ("route-dag", {"vertices": [{"id": "a", "weight": 10**400}], "edges": []}, 3),
+    "canonical-coupling-huge-int": (
+        "route-dag",
+        {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b", "coupling": 10**400}]},
+        3,
+    ),
 }
 
 

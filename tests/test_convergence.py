@@ -26,7 +26,7 @@ from topoflow.convergence import (
 )
 from topoflow.routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind
 
-from conftest import make_dag
+from conftest import make_dag, oracle_simulate_variance
 
 
 def bound(omega, gamma, k, eps):
@@ -51,6 +51,20 @@ class TestVarianceRatioBound:
 
     def test_gamma_one_gives_zero(self):
         assert bound(3.0, 1.0, 4, 0.05) == 0.0
+
+    @pytest.mark.parametrize(
+        "omega, gamma, k, eps, want",
+        [
+            (3, 0, 1, 1e-200, math.inf),  # eps**2 underflows to 0
+            (1e308, 0, 1, 1e-300, math.inf),  # (omega - 1)**2 overflows
+            (1, 0.3, 4, 1e-200, 0.0),  # a zero numerator stays zero
+            (3, 1.0, 4, 1e-200, 0.0),
+            (1e308, 0, 1, 1e300, 2.5e15),  # both squares overflow, the bound does not
+            (3, 0, 10**400, 0.5, 0.0),  # k beyond the float range
+        ],
+    )
+    def test_out_of_float_range_terms_give_the_rounded_bound(self, omega, gamma, k, eps, want):
+        assert bound(omega, gamma, k, eps) == pytest.approx(want)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -192,15 +206,41 @@ class TestSimulation:
         )
         assert simulate_variance(cfg).summary() == simulate_variance(cfg).summary()
 
-    def test_metrics_computed_once_per_trial(self, monkeypatch):
-        compute = convergence.compute_metrics
-        calls = []
+    def test_metrics_computed_once_per_call(self, monkeypatch):
+        compute, generate = convergence.compute_metrics, convergence.generate_archetype
+        calls, shapes = [], []
         monkeypatch.setattr(
             convergence, "compute_metrics", lambda dag, **kw: calls.append(dag) or compute(dag, **kw)
         )
+        monkeypatch.setattr(
+            convergence, "generate_archetype", lambda spec, **kw: shapes.append(spec) or generate(spec, **kw)
+        )
         cfg = SimConfig(archetype=DagArchetype(ArchetypeKind.DIAMOND, 6), epsilon=0.05, trials=5)
         simulate_variance(cfg)
-        assert len(calls) == 5
+        assert len(calls) == 1
+        assert len(shapes) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(list(ArchetypeKind)),
+        size=st.integers(1, 30),
+        seed=st.one_of(st.integers(0, 2**31 - 1), st.integers(-5, 5)),
+        epsilon=st.one_of(st.sampled_from([0.0, 0.01, 0.05]), st.floats(1e-6, 0.5)),
+        trials=st.integers(1, 5),
+    )
+    @example(kind=ArchetypeKind.DIAMOND, size=6, seed=0, epsilon=0.0, trials=3)
+    @example(kind=ArchetypeKind.CHAIN, size=1, seed=2**31 - 1, epsilon=0.05, trials=2)
+    def test_matches_the_reference(self, kind, size, seed, epsilon, trials):
+        cfg = SimConfig(archetype=DagArchetype(kind, size), epsilon=epsilon, trials=trials, seed=seed)
+        try:
+            want = oracle_simulate_variance(cfg)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                simulate_variance(cfg)
+            return
+        got = simulate_variance(cfg)
+        assert repr(got.rows) == repr(want.rows)
+        assert repr(got.summary()) == repr(want.summary())
 
     def test_statistics_variance_not_called_on_finite_inputs(self, monkeypatch):
         def fail(data):
