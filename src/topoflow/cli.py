@@ -14,7 +14,15 @@ import sys
 from typing import Callable
 
 from . import convergence, execution, routing, runlog, synthesis
-from .accounting import CostLedger, Phase, PricingTable, RunReport, format_distribution, topology_distribution
+from .accounting import (
+    CostLedger,
+    Phase,
+    PricingError,
+    PricingTable,
+    RunReport,
+    format_distribution,
+    topology_distribution,
+)
 from .archetypes import ArchetypeKind, DagArchetype, archetype_edges
 from .backends import AgentBackend, AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from .convergence import (
@@ -161,6 +169,11 @@ def cmd_exec(args) -> int:
         if manifest.get("pricing")
         else PricingTable.default()
     )
+    for backend in pool:  # an unpriced backend would lose the ledger of every paid call
+        try:
+            ledger.pricing.rate_for(backend.identity)
+        except PricingError as exc:
+            raise UsageError(str(exc)) from None
     out_dir = resolve(manifest["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
 

@@ -11,6 +11,7 @@ import enum
 import functools
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -161,8 +162,8 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
         elif v.id in rank:
             violations.append(Violation("duplicate_id", f"duplicate vertex id {v.id!r}"))
         rank[v.id] = 0
-        if not v.weight > 0:
-            violations.append(Violation("bad_weight", f"vertex {v.id!r} has non-positive weight {v.weight}"))
+        if not 0 < v.weight < math.inf:
+            violations.append(Violation("bad_weight", f"vertex {v.id!r} weight {v.weight} is not positive and finite"))
 
     ids = sorted(rank)
     n = len(ids)
@@ -386,7 +387,10 @@ def deserialize_dag(doc: Mapping) -> TaskDag:
 def load_dag(path: str) -> TaskDag:
     """Load either a decomposer-record array or a canonical DAG document."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer past the conversion limit
+            raise ParseError(str(exc)) from None
     return ingest(doc)
 
 

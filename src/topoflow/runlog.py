@@ -62,18 +62,18 @@ def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def read_jsonl(path: str) -> tuple[list[dict], int]:
-    """Parse a JSONL file; corrupt lines, and lines that are not JSON objects,
-    are skipped and counted."""
+    """Parse a JSONL file; corrupt lines (not UTF-8, or not JSON), and lines
+    that are not JSON objects, are skipped and counted."""
     records: list[dict] = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # UnicodeDecodeError, JSONDecodeError, an over-long integer
                 record = None
             if isinstance(record, dict):
                 records.append(record)

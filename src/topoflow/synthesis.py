@@ -48,11 +48,17 @@ class Embedder(ABC):
     def embed(self, text: str) -> list[float]:
         """Deterministic fixed-length embedding of the text."""
 
+    def build_sparse(self, text: str) -> SparseVector:
+        """The text's :class:`SparseVector`, built from :meth:`embed`'s dense vector."""
+        entries = {i: x for i, x in enumerate(self.embed(text)) if x}
+        # the dense sum adds only +0.0 beyond these squares, so the norm is cosine's
+        return SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
+
     def sparse(self, text: str) -> SparseVector:
-        """``embed(text)`` as a :class:`SparseVector`, embedded once per distinct text.
+        """:meth:`build_sparse` of the text, built once per distinct text.
 
         The memo holds up to ``EMBED_CACHE_SIZE`` texts and is emptied when
-        full.  Threads sharing an embedder may embed a text twice, never
+        full.  Threads sharing an embedder may build a text twice, never
         read a wrong vector.
         """
         try:
@@ -61,9 +67,7 @@ class Embedder(ABC):
             memo = self._memo = {}
         vec = memo.get(text)
         if vec is None:
-            entries = {i: x for i, x in enumerate(self.embed(text)) if x}
-            # the dense sum adds only +0.0 beyond these squares, so the norm is cosine's
-            vec = SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
+            vec = self.build_sparse(text)
             if len(memo) >= EMBED_CACHE_SIZE:
                 memo.clear()
             memo[text] = vec
@@ -77,14 +81,28 @@ class HashedEmbedder(Embedder):
     def __init__(self, dimension: int = 256):
         self.dimension = dimension
 
-    def embed(self, text: str) -> list[float]:
-        vec = [0.0] * self.dimension
+    def build_sparse(self, text: str) -> SparseVector:
+        """The non-zero entries of the normalized token counts, straight from
+        the counts, bit for bit the dense vector's.
+
+        The squared counts are integers, so their sum is exact in any order
+        and its square root is the dense norm; each entry is ``count / norm``
+        as in the dense division, and the entries go in ascending index
+        order, as the dense scan finds them.
+        """
+        counts: dict[int, int] = {}
         for token in text.lower().split():
             ix = int.from_bytes(hashlib.md5(token.encode()).digest()[:8], "big") % self.dimension
-            vec[ix] += 1.0
-        norm = math.sqrt(sum(x * x for x in vec))
-        if norm > 0:
-            vec = [x / norm for x in vec]
+            counts[ix] = counts.get(ix, 0) + 1
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        entries = {i: counts[i] / norm for i in sorted(counts)}
+        return SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
+
+    def embed(self, text: str) -> list[float]:
+        """The dense expansion of :meth:`sparse`: zeros off its entries."""
+        vec = [0.0] * self.dimension
+        for i, x in self.sparse(text).entries.items():
+            vec[i] = x
         return vec
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 import sys
 from collections import deque
@@ -168,8 +170,8 @@ def oracle_validate_dag(dag):
         elif v.id in seen:
             violations.append(Violation("duplicate_id", f"duplicate vertex id {v.id!r}"))
         seen.add(v.id)
-        if not v.weight > 0:
-            violations.append(Violation("bad_weight", f"vertex {v.id!r} has non-positive weight {v.weight}"))
+        if not 0 < v.weight < math.inf:
+            violations.append(Violation("bad_weight", f"vertex {v.id!r} weight {v.weight} is not positive and finite"))
 
     ids = {v.id for v in dag.vertices}
     seen_edges: set[tuple[str, str]] = set()
@@ -324,6 +326,24 @@ def oracle_simulate_variance(cfg):
         epsilon=cfg.epsilon,
         rows=rows,
     )
+
+
+class DenseHashedEmbedder:
+    """Reference for ``topoflow.synthesis.HashedEmbedder``: the dense ``embed``
+    that its sparse vectors are defined by, a 256-float list per text."""
+
+    def __init__(self, dimension: int = 256):
+        self.dimension = dimension
+
+    def embed(self, text: str) -> list[float]:
+        vec = [0.0] * self.dimension
+        for token in text.lower().split():
+            ix = int.from_bytes(hashlib.md5(token.encode()).digest()[:8], "big") % self.dimension
+            vec[ix] += 1.0
+        norm = math.sqrt(sum(x * x for x in vec))
+        if norm > 0:
+            vec = [x / norm for x in vec]
+        return vec
 
 
 @pytest.fixture

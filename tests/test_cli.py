@@ -274,14 +274,14 @@ class TestExec:
 
     def test_exec_embeds_each_text_once(self, tmp_path, capsys, monkeypatch):
         # context merging and synthesis share one embedder and its memo
-        embed = HashedEmbedder.embed
+        build = HashedEmbedder.build_sparse
         texts = []
 
-        def counting_embed(self, text):
+        def counting_build(self, text):
             texts.append(text)
-            return embed(self, text)
+            return build(self, text)
 
-        monkeypatch.setattr(HashedEmbedder, "embed", counting_embed)
+        monkeypatch.setattr(HashedEmbedder, "build_sparse", counting_build)
         assert main(["exec", write_manifest(tmp_path)]) == 0
         assert texts and len(texts) == len(set(texts))
 
@@ -770,14 +770,26 @@ MALFORMED_INPUTS = {
         {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b", "coupling": 10**400}]},
         3,
     ),
+    "estimated-tokens-infinite": ("route-dag", _diamond_records(estimated_tokens=float("inf")), 3),
+    "canonical-weight-1e400": ("route-dag", b'{"vertices": [{"id": "a", "weight": 1e400}], "edges": []}', 3),
+    "dag-int-past-digit-limit": ("route-dag", b'[{"id": "a", "estimated_tokens": 1' + b"0" * 4300 + b"}]", 3),
+    "dag-not-utf8": ("route-dag", b'[{"id": "a", "description": "\xff"}]', 3),
+    "pricing-no-row-for-pool": ("exec-pricing", {"as_of": "x", "rates": {}}, 2),
+    # one good run record and one line that is not UTF-8, which is skipped
+    "log-line-not-utf8": (
+        "report-logs",
+        b'{"type": "run", "topology": "parallel", "iterations": 1}\n\xff\xfe\n',
+        0,
+    ),
 }
+ERR_PREFIX = {0: "warning: skipped 1 corrupt", 2: "usage error: ", 3: "data error: "}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
     where, doc, code = MALFORMED_INPUTS[case]
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
+    path = tmp_path / ("input.jsonl" if where == "report-logs" else "input.json")
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     diamond = os.path.join(FIXTURES, "diamond.json")
     argv = {
         "route-dag": lambda: ["route", str(path)],
@@ -788,9 +800,10 @@ def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
         "exec-pricing": lambda: ["exec", write_manifest(tmp_path, pricing=str(path))],
         "exec-fields": lambda: ["exec", write_manifest(tmp_path, **doc)],
         "calibrate": lambda: ["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")],
+        "report-logs": lambda: ["report", "--logs", str(tmp_path), "--out", str(tmp_path / "rep")],
     }[where]()
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert err.startswith("usage error: " if code == 2 else "data error: ")
+    assert err.startswith(ERR_PREFIX[code])
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "cal").exists()

@@ -29,10 +29,10 @@ UNKNOWN = ("x", "y")
 def flawed_dags(draw):
     """Small digraphs with every kind of violation: cycles (often several at
     once), dangling edges, duplicate and empty ids, duplicate and self edges,
-    non-positive weights, and missing or out-of-range couplings."""
+    non-positive, NaN and infinite weights, and missing or out-of-range couplings."""
     ids = draw(st.lists(st.sampled_from(NAMES), max_size=8))
     weights = draw(st.lists(
-        st.sampled_from((1.0, 250.0, 0.0, -3.0, math.nan)), min_size=len(ids), max_size=len(ids)
+        st.sampled_from((1.0, 250.0, 0.0, -3.0, math.nan, math.inf)), min_size=len(ids), max_size=len(ids)
     ))
     ends = st.sampled_from(ids + list(UNKNOWN))
     edges = draw(st.lists(st.tuples(ends, ends), max_size=16))

@@ -15,6 +15,7 @@ from topoflow.synthesis import (
     MERGE_PREFIX,
     FixtureEmbedder,
     HashedEmbedder,
+    SparseVector,
     SynthesisConfig,
     SynthesisError,
     SynthesisPath,
@@ -24,6 +25,8 @@ from topoflow.synthesis import (
     iteration_bound,
     synthesize,
 )
+
+from conftest import DenseHashedEmbedder
 
 PARALLEL = TopologyKind.PARALLEL
 SEQUENTIAL = TopologyKind.SEQUENTIAL
@@ -80,7 +83,8 @@ class TestConsistencyScore:
 
 # The dense formulas the scores were defined by; the sparse path must match
 # them bit for bit, because mock outputs tie on relevance and ties are broken
-# by subtask id, so one ulp can reorder a context.
+# by subtask id, so one ulp can reorder a context.  For hashed texts ``emb`` is
+# ``conftest.DenseHashedEmbedder``, the dense reference.
 
 def dense_consistency(outputs, emb):
     if len(outputs) == 1:
@@ -108,6 +112,8 @@ TEXTS = st.lists(
     st.sampled_from(["red", "Fox", "fox", "blue", "sky", "the", "a", "x1", "[mock0]", "result"]),
     max_size=8,
 ).map(" ".join)  # "" included
+# many repeats of a few tokens, in any case: counts above 1 on shared indices
+LONG_TEXTS = st.lists(st.sampled_from(["Red", "RED", "red", "fox", "sky", "x1"]), max_size=300).map(" ".join)
 ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-1e3, max_value=1e3))
 
 
@@ -121,7 +127,7 @@ class TestSparseExactness:
     @settings(max_examples=200, deadline=None)
     def test_hashed_matches_dense(self, dim, texts, other):
         texts = texts + texts[:2]  # repeated texts
-        emb, ref = HashedEmbedder(dim), HashedEmbedder(dim)
+        emb, ref = HashedEmbedder(dim), DenseHashedEmbedder(dim)
         assert repr(consistency_score(texts, emb)) == repr(dense_consistency(texts, ref))
         assert repr(consistency_of_candidate(other, texts, emb)) == repr(dense_candidate(other, texts, ref))
         rel, dense = embedding_relevance(emb), dense_relevance(ref)
@@ -155,13 +161,25 @@ class TestSparseExactness:
         ]
         target = Subtask("t", description=description)
         sparse = merge_context(outputs, target, 10**6, embedding_relevance(HashedEmbedder(dim)))
-        assert sparse == merge_context(outputs, target, 10**6, dense_relevance(HashedEmbedder(dim)))
+        assert sparse == merge_context(outputs, target, 10**6, dense_relevance(DenseHashedEmbedder(dim)))
+
+    @given(st.integers(min_value=1, max_value=256), st.lists(st.one_of(TEXTS, LONG_TEXTS, st.text(max_size=40))))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_is_the_dense_reference(self, dim, texts):
+        # one embedder for every text, so its token memo is reused across texts
+        emb, ref = HashedEmbedder(dim), DenseHashedEmbedder(dim)
+        for text in [*texts, "", *texts]:
+            dense = ref.embed(text)
+            entries = {i: x for i, x in enumerate(dense) if x}
+            expected = SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
+            assert repr(emb.sparse(text)) == repr(expected)
+            assert repr(emb.embed(text)) == repr(dense)
 
     def test_each_distinct_text_embedded_once(self, monkeypatch):
         emb = HashedEmbedder()
         texts = []
-        embed = emb.embed
-        monkeypatch.setattr(emb, "embed", lambda text: texts.append(text) or embed(text))
+        build = emb.build_sparse
+        monkeypatch.setattr(emb, "build_sparse", lambda text: texts.append(text) or build(text))
         consistency_score(["a b", "a b", "c"], emb)
         consistency_of_candidate("c", ["a b", "d"], emb)
         embedding_relevance(emb)("d", "a b")
