@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import select
 import threading
@@ -17,6 +18,8 @@ import urllib.parse
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
+
+from .dag import ParseError, load_json
 
 
 class BackendError(Exception):
@@ -83,6 +86,21 @@ class MockBackend(AgentBackend):
         )
 
 
+def _count(value) -> bool:
+    return type(value) is int and value >= 0  # a JSON true is no count
+
+
+# a scripted fixture entry's typed fields: the test each value must pass, and
+# what it must be
+_FIXTURE_FIELDS = {
+    "text": (lambda v: type(v) is str, "a string"),
+    "prompt_tokens": (_count, "a non-negative integer"),
+    "completion_tokens": (_count, "a non-negative integer"),
+    "fail_times": (_count, "a non-negative integer"),
+    "latency": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number of at least 0"),
+}
+
+
 class ScriptedBackend(AgentBackend):
     """Replays canned outputs from a fixture keyed by subtask id / phase tag.
 
@@ -100,8 +118,23 @@ class ScriptedBackend(AgentBackend):
 
     @classmethod
     def from_file(cls, path: str) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        """The backend for the fixture file at ``path``, checked whole before
+        any call: a fixture that is not an object of entry objects, or a
+        ``text``, token count, ``fail_times`` or ``latency`` of the wrong
+        type or range, raises :class:`ParseError`."""
+        fixture = load_json(path)
+        if not isinstance(fixture, dict):
+            raise ParseError(f"{path}: a scripted fixture must be a JSON object")
+        for tag, entry in fixture.items():
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: fixture entry {tag!r} must be an object")
+            for key, value in entry.items():
+                check = _FIXTURE_FIELDS.get(key)
+                if check is not None and not check[0](value):
+                    raise ParseError(
+                        f"{path}: fixture entry {tag!r} field {key!r} must be {check[1]}, got {value!r}"
+                    )
+        return cls(fixture)
 
     def invoke(self, instruction: str, context: str, *, tag: str | None = None) -> AgentOutput:
         key = tag if tag in self.fixture else "default"

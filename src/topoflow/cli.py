@@ -8,7 +8,6 @@ runs are deterministic for fixed seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Callable
@@ -33,7 +32,7 @@ from .convergence import (
     simulate_variance,
     variance_ratio_bound,
 )
-from .dag import DagError, ParseError, ValidationError, load_dag
+from .dag import DagError, ParseError, ValidationError, load_dag, load_json
 from .execution import ExecutionEngine, ExecutionFailure, ExecutionTrace, embedding_relevance, make_plan
 from .routing import (
     RouterConfig,
@@ -60,8 +59,7 @@ class UsageError(Exception):
 def _load_config(path: str, parse: Callable):
     """``parse`` of the JSON file at ``path``; a document it rejects with
     ``ValueError`` is a usage error."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_json(path)
     try:
         return parse(doc)
     except ValueError as exc:
@@ -121,8 +119,7 @@ def _manifest_field(manifest: dict, key: str, default, valid: Callable[[object],
 
 
 def cmd_exec(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = load_json(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
 
     def resolve(p: str) -> str:
@@ -286,8 +283,7 @@ def cmd_simulate(args) -> int:
 
 
 def _load_task_file(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return calibration_task(json.load(fh))
+    return calibration_task(load_json(path))
 
 
 def cmd_calibrate(args) -> int:
@@ -480,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, DagError, json.JSONDecodeError) as exc:
+    except (ParseError, ValidationError, DagError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (BackendError, ExecutionFailure, SynthesisError) as exc:

@@ -68,12 +68,17 @@ def variance_ratio_bound(p: ConvergenceParams) -> float:
     """Lower bound on Var_topology / Var_model for an epsilon-convergent pool."""
     if p.epsilon == 0:
         raise BoundDiverges("variance ratio diverges as epsilon -> 0")
+    return _ratio_bound(p.epsilon, p.omega, p.gamma, p.k)
+
+
+def _ratio_bound(epsilon: float, omega: float, gamma: float, k: int) -> float:
+    """The bound's arithmetic for a nonzero ``epsilon``."""
     try:
-        return (p.omega - 1) ** 2 * (1 - p.gamma) ** 2 / (4 * p.epsilon**2 * p.k)
+        return (omega - 1) ** 2 * (1 - gamma) ** 2 / (4 * epsilon**2 * k)
     except (OverflowError, ZeroDivisionError):
         # a square left the float range: round the exact value once, and a
         # bound beyond the largest float is infinite
-        exact = Fraction(p.omega - 1) ** 2 * Fraction(1 - p.gamma) ** 2 / (4 * Fraction(p.epsilon) ** 2 * p.k)
+        exact = Fraction(omega - 1) ** 2 * Fraction(1 - gamma) ** 2 / (4 * Fraction(epsilon) ** 2 * k)
         try:
             return float(exact)
         except OverflowError:
@@ -106,17 +111,29 @@ def assumption_one_qualities(
     :func:`compute_metrics` when the caller has it.
     """
     m = compute_metrics(dag, mode=WidthMode.EXACT) if metrics is None else metrics
-    gap = DEFAULT_C_TAU * (m.width_exact - 1) * (1 - m.coupling_density)
-    total = sum(v.weight for v in dag.vertices)
-    stage_factor = 1 - (m.depth / total if total else 1.0)
-    parallel = base + (gap if m.coupling_density < 0.5 else -gap)
-    parallel -= CONTEXT_LOSS_RATE * m.coupling_density
+    sequential, parallel, hybrid, hierarchical = _qualities(
+        base, m.width_exact, m.coupling_density, _stage_factor(m.depth, dag)
+    )
     return {
-        TopologyKind.SEQUENTIAL: base,
+        TopologyKind.SEQUENTIAL: sequential,
         TopologyKind.PARALLEL: parallel,
-        TopologyKind.HYBRID: base + gap * stage_factor,
-        TopologyKind.HIERARCHICAL: base + 0.5 * gap - ARBITRATION_PENALTY,
+        TopologyKind.HYBRID: hybrid,
+        TopologyKind.HIERARCHICAL: hierarchical,
     }
+
+
+def _stage_factor(depth: float, dag: TaskDag) -> float:
+    """Hybrid's share of the gap: 1 - depth / total vertex weight."""
+    total = sum(v.weight for v in dag.vertices)
+    return 1 - (depth / total if total else 1.0)
+
+
+def _qualities(base: float, omega: float, gamma: float, stage_factor: float) -> tuple[float, float, float, float]:
+    """The sequential, parallel, hybrid and hierarchical qualities."""
+    gap = DEFAULT_C_TAU * (omega - 1) * (1 - gamma)
+    parallel = base + (gap if gamma < 0.5 else -gap)
+    parallel -= CONTEXT_LOSS_RATE * gamma
+    return base, parallel, base + gap * stage_factor, base + 0.5 * gap - ARBITRATION_PENALTY
 
 
 class OracleError(Exception):
@@ -253,52 +270,44 @@ def _variance(values: list[float]) -> float:
 def simulate_variance(cfg: SimConfig) -> SimResult:
     """Monte-Carlo check of the variance-ratio bound under the quality model.
 
-    The archetype's shape, with uniform weights, and its exact metrics are
-    built once: only the edge couplings differ between trials.  Each trial
-    draws its couplings with the seed and the calls that building its whole
-    DAG would make, draws pool scores uniformly from [S* - eps, S*], and
-    measures the sample variance across model choices (fixed topology)
-    against the sample variance across the four topologies (fixed model).
+    The archetype's shape, with uniform weights, its exact metrics and
+    everything that depends only on them are computed once: only the edge
+    couplings differ between trials.  Each trial draws its couplings with
+    the seed and the calls that building its whole DAG would make, draws
+    pool scores uniformly from [S* - eps, S*], and measures the sample
+    variance across model choices (fixed topology) against the sample
+    variance across the four topologies (fixed model).
     """
     shape = generate_archetype(replace(cfg.archetype, seed=cfg.seed * 1_000_003), uniform_weights=True)
     metrics = compute_metrics(shape, mode=WidthMode.EXACT)
+    # the bound's checks, once: gamma is a mean of levels in [0, 1]
+    p = ConvergenceParams(epsilon=cfg.epsilon, omega=metrics.width_exact, gamma=0.0, k=metrics.vertex_count)
+    epsilon, omega, k = p.epsilon, p.omega, p.k
+    stage_factor = _stage_factor(metrics.depth, shape)
     rows: list[dict] = []
     var_m_sum = var_t_sum = bound_sum = omega_sum = gamma_sum = 0.0
+    couple_rng, rng = random.Random(), random.Random()  # seed(x) gives Random(x)'s state
     for t in range(cfg.trials):
         dag_seed = cfg.seed * 1_000_003 + t
-        # only the couplings differ between trials: the same left-to-right
-        # sum as compute_metrics gives the same density
-        values = draw_couplings(random.Random(dag_seed), shape.edge_count)
-        density = sum(values) / len(values) if values else 0.0
-        m = replace(metrics, coupling_density=density)
-        rng = random.Random(dag_seed ^ 0x5EED5C0E)
-        scores = [S_STAR - cfg.epsilon * rng.random() for _ in range(POOL_SIZE)]
+        couple_rng.seed(dag_seed)
+        # the same left-to-right sum as compute_metrics gives the same density
+        values = draw_couplings(couple_rng, shape.edge_count)
+        gamma = sum(values) / len(values) if values else 0.0
+        rng.seed(dag_seed ^ 0x5EED5C0E)
+        scores = [S_STAR - epsilon * rng.random() for _ in range(POOL_SIZE)]
         var_m = _variance(scores)
-        # the qualities read the DAG only for its vertex weights, which are
-        # uniform and so the same in every trial
-        quals = assumption_one_qualities(shape, base=scores[0], metrics=m)
-        var_t = _variance(list(quals.values()))
-        try:
-            bound = variance_ratio_bound(
-                ConvergenceParams(
-                    epsilon=cfg.epsilon,
-                    omega=m.width_exact,
-                    gamma=m.coupling_density,
-                    k=m.vertex_count,
-                )
-            )
-        except BoundDiverges:
-            bound = float("inf")
+        var_t = _variance(list(_qualities(scores[0], omega, gamma, stage_factor)))
+        bound = _ratio_bound(epsilon, omega, gamma, k) if epsilon else math.inf  # 0 diverges
         var_m_sum += var_m
         var_t_sum += var_t
         bound_sum += bound
-        omega_sum += m.width_exact
-        gamma_sum += m.coupling_density
+        omega_sum += omega
+        gamma_sum += gamma
         rows.append(
             {
                 "trial": t,
-                "omega": m.width_exact,
-                "gamma": round(m.coupling_density, 6),
+                "omega": omega,
+                "gamma": round(gamma, 6),
                 "var_model": var_m,
                 "var_topology": var_t,
                 "ratio": var_t / var_m if var_m else float("inf"),

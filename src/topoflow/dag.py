@@ -44,7 +44,8 @@ class DagError(Exception):
 
 
 class ParseError(DagError):
-    """A decomposition record is malformed or referentially broken."""
+    """A decomposition record is malformed or referentially broken, or an
+    input file is not a JSON document its reader accepts."""
 
 
 class ValidationError(DagError):
@@ -384,14 +385,21 @@ def deserialize_dag(doc: Mapping) -> TaskDag:
     return dag
 
 
-def load_dag(path: str) -> TaskDag:
-    """Load either a decomposer-record array or a canonical DAG document."""
+def load_json(path: str):
+    """The JSON document in the file at ``path``; raises :class:`ParseError`
+    when the file is not one."""
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, not UTF-8, or an integer past the conversion limit
+            return json.load(fh)
+        # not JSON, not UTF-8, an integer past the conversion limit, or
+        # nested deeper than the decoder recurses
+        except (ValueError, RecursionError) as exc:
             raise ParseError(str(exc)) from None
-    return ingest(doc)
+
+
+def load_dag(path: str) -> TaskDag:
+    """Load either a decomposer-record array or a canonical DAG document."""
+    return ingest(load_json(path))
 
 
 def ingest(doc) -> TaskDag:

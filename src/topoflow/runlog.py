@@ -62,8 +62,9 @@ def write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def read_jsonl(path: str) -> tuple[list[dict], int]:
-    """Parse a JSONL file; corrupt lines (not UTF-8, or not JSON), and lines
-    that are not JSON objects, are skipped and counted."""
+    """Parse a JSONL file; corrupt lines (not UTF-8, not JSON, or nested too
+    deep to decode), and lines that are not JSON objects, are skipped and
+    counted."""
     records: list[dict] = []
     skipped = 0
     with open(path, "rb") as fh:
@@ -73,7 +74,8 @@ def read_jsonl(path: str) -> tuple[list[dict], int]:
                 if not line:
                     continue
                 record = json.loads(line)
-            except ValueError:  # UnicodeDecodeError, JSONDecodeError, an over-long integer
+            # UnicodeDecodeError, JSONDecodeError, an over-long integer, too deep a nesting
+            except (ValueError, RecursionError):
                 record = None
             if isinstance(record, dict):
                 records.append(record)

@@ -4,14 +4,17 @@ import math
 import random
 import sys
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
 from topoflow import convergence
 from topoflow import dag as dag_module
 from topoflow.archetypes import COUPLING_LEVELS, UNIFORM_WEIGHT, WEIGHT_RANGE, ArchetypeKind, DagArchetype
+from topoflow.convergence import ARBITRATION_PENALTY, CONTEXT_LOSS_RATE, DEFAULT_C_TAU, S_STAR, BoundDiverges
 from topoflow.dag import DagIndex, Subtask, TaskDag, ValidationReport, Violation
 from topoflow.metrics import WidthMode, compute_metrics
+from topoflow.routing import TopologyKind
 
 
 def make_dag(n, edges, *, weights=None, couplings=None, default_coupling=0.3):
@@ -271,9 +274,44 @@ def oracle_generate_archetype(spec, *, uniform_weights=False):
     return TaskDag(vertices=tuple(vertices), edges=edges, coupling=coupling)
 
 
+def oracle_variance_ratio_bound(p):
+    """Reference for ``topoflow.convergence.variance_ratio_bound``: its body,
+    the closed form and its exact fallback, written out."""
+    if p.epsilon == 0:
+        raise BoundDiverges("variance ratio diverges as epsilon -> 0")
+    try:
+        return (p.omega - 1) ** 2 * (1 - p.gamma) ** 2 / (4 * p.epsilon**2 * p.k)
+    except (OverflowError, ZeroDivisionError):
+        # a square left the float range: round the exact value once, and a
+        # bound beyond the largest float is infinite
+        exact = Fraction(p.omega - 1) ** 2 * Fraction(1 - p.gamma) ** 2 / (4 * Fraction(p.epsilon) ** 2 * p.k)
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf
+
+
+def oracle_assumption_one_qualities(dag, *, base=S_STAR, metrics=None):
+    """Reference for ``topoflow.convergence.assumption_one_qualities``: the
+    quality model's expressions written out."""
+    m = compute_metrics(dag, mode=WidthMode.EXACT) if metrics is None else metrics
+    gap = DEFAULT_C_TAU * (m.width_exact - 1) * (1 - m.coupling_density)
+    total = sum(v.weight for v in dag.vertices)
+    stage_factor = 1 - (m.depth / total if total else 1.0)
+    parallel = base + (gap if m.coupling_density < 0.5 else -gap)
+    parallel -= CONTEXT_LOSS_RATE * m.coupling_density
+    return {
+        TopologyKind.SEQUENTIAL: base,
+        TopologyKind.PARALLEL: parallel,
+        TopologyKind.HYBRID: base + gap * stage_factor,
+        TopologyKind.HIERARCHICAL: base + 0.5 * gap - ARBITRATION_PENALTY,
+    }
+
+
 def oracle_simulate_variance(cfg):
     """Reference for ``topoflow.convergence.simulate_variance``: every trial
-    regenerates its whole DAG and computes its metrics from scratch."""
+    regenerates its whole DAG, computes its metrics from scratch and goes
+    through the reference quality model and bound."""
     rows = []
     var_m_sum = var_t_sum = bound_sum = omega_sum = gamma_sum = 0.0
     for t in range(cfg.trials):
@@ -285,15 +323,15 @@ def oracle_simulate_variance(cfg):
         rng = random.Random(dag_seed ^ 0x5EED5C0E)
         scores = [convergence.S_STAR - cfg.epsilon * rng.random() for _ in range(convergence.POOL_SIZE)]
         var_m = convergence._variance(scores)
-        quals = convergence.assumption_one_qualities(dag, base=scores[0], metrics=m)
+        quals = oracle_assumption_one_qualities(dag, base=scores[0], metrics=m)
         var_t = convergence._variance(list(quals.values()))
         try:
-            bound = convergence.variance_ratio_bound(
+            bound = oracle_variance_ratio_bound(
                 convergence.ConvergenceParams(
                     epsilon=cfg.epsilon, omega=m.width_exact, gamma=m.coupling_density, k=m.vertex_count
                 )
             )
-        except convergence.BoundDiverges:
+        except BoundDiverges:
             bound = float("inf")
         var_m_sum += var_m
         var_t_sum += var_t

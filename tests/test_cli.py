@@ -31,13 +31,16 @@ def write_manifest(tmp_path, **overrides):
     return str(path)
 
 
+def fixture_entries(**changes):
+    """The diamond's scripted fixture, with some entries replaced."""
+    with open(os.path.join(FIXTURES, "scripted.json"), encoding="utf-8") as fh:
+        return {**json.load(fh), **changes}
+
+
 def write_fixture(tmp_path, **entries):
     """The diamond's scripted fixture with some entries replaced; returns its path."""
-    with open(os.path.join(FIXTURES, "scripted.json"), encoding="utf-8") as fh:
-        fixture = json.load(fh)
-    fixture.update(entries)
     path = tmp_path / "fixture.json"
-    path.write_text(json.dumps(fixture))
+    path.write_text(json.dumps(fixture_entries(**entries)))
     return str(path)
 
 
@@ -736,6 +739,7 @@ def _diamond_records(**changes):
     return records
 
 
+_DEEP = b"[" * 100_000 + b"]" * 100_000  # deeper than the JSON decoder recurses
 _TASK_SCORES = {"parallel": 0.5, "sequential": 0.9, "hierarchical": 0.4, "hybrid": 0.6}
 _PRICING = {"as_of": "2026-01-01", "rates": {"scripted": {"input_per_1m": "0", "output_per_1m": "0"}}}
 
@@ -781,6 +785,28 @@ MALFORMED_INPUTS = {
         b'{"type": "run", "topology": "parallel", "iterations": 1}\n\xff\xfe\n',
         0,
     ),
+    "dag-nested-too-deep": ("route-dag", _DEEP, 3),
+    "config-nested-too-deep": ("route-config", _DEEP, 3),
+    "pricing-nested-too-deep": ("exec-pricing", _DEEP, 3),
+    "manifest-nested-too-deep": ("exec-manifest", _DEEP, 3),
+    "fixture-nested-too-deep": ("exec-fixture", _DEEP, 3),
+    "task-nested-too-deep": ("calibrate", _DEEP, 3),
+    "log-line-nested-too-deep": (
+        "report-logs",
+        b'{"type": "run", "topology": "parallel", "iterations": 1}\n' + _DEEP + b"\n",
+        0,
+    ),
+    "config-not-utf8": ("route-config", b'{"theta_gamma": 0.5}\xff', 3),
+    "pricing-not-utf8": ("exec-pricing", b'{"as_of": "2026-01-01"}\xff', 3),
+    "manifest-not-utf8": ("exec-manifest", b'{"dag": "diamond.json"}\xff', 3),
+    "fixture-not-object": ("exec-fixture", [fixture_entries()], 3),
+    "fixture-entry-not-object": ("exec-fixture", fixture_entries(v1="option one"), 3),
+    "fixture-fail-times-not-integer": ("exec-fixture", fixture_entries(v1={"fail_times": "x"}), 3),
+    "fixture-text-not-string": ("exec-fixture", fixture_entries(v1={"text": 5}), 3),
+    "fixture-prompt-tokens-1e400": ("exec-fixture", b'{"v1": {"prompt_tokens": 1e400}}', 3),
+    "fixture-latency-nan": ("exec-fixture", b'{"v1": {"latency": NaN}}', 3),
+    "fixture-latency-negative": ("exec-fixture", fixture_entries(v1={"latency": -1}), 3),
+    "fixture-latency-not-number": ("exec-fixture", fixture_entries(v1={"latency": "x"}), 3),
 }
 ERR_PREFIX = {0: "warning: skipped 1 corrupt", 2: "usage error: ", 3: "data error: "}
 
@@ -799,6 +825,7 @@ def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
         "exec-config": lambda: ["exec", write_manifest(tmp_path, router_config=str(path))],
         "exec-pricing": lambda: ["exec", write_manifest(tmp_path, pricing=str(path))],
         "exec-fields": lambda: ["exec", write_manifest(tmp_path, **doc)],
+        "exec-fixture": lambda: ["exec", write_manifest(tmp_path, backend="scripted:" + str(path))],
         "calibrate": lambda: ["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")],
         "report-logs": lambda: ["report", "--logs", str(tmp_path), "--out", str(tmp_path / "rep")],
     }[where]()

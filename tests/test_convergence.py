@@ -1,6 +1,8 @@
 import math
+import random
 import statistics
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +26,16 @@ from topoflow.convergence import (
     topology_quality_gap,
     variance_ratio_bound,
 )
+from topoflow.metrics import WidthMode, compute_metrics
 from topoflow.routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind
 
-from conftest import make_dag, oracle_simulate_variance
+from conftest import (
+    make_dag,
+    oracle_assumption_one_qualities,
+    oracle_simulate_variance,
+    oracle_variance_ratio_bound,
+    random_small_dag,
+)
 
 
 def bound(omega, gamma, k, eps):
@@ -112,6 +121,67 @@ class TestQualityModel:
         star = make_dag(9, [(0, i) for i in range(1, 9)], default_coupling=1.0)
         q = assumption_one_qualities(star)
         assert q[TopologyKind.PARALLEL] < q[TopologyKind.SEQUENTIAL]
+
+
+def _outcome(fn, *args, **kwargs):
+    """The repr of ``fn``'s result, or the type of what it raises."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:
+        return type(exc)
+
+
+# gamma = 0.5 takes the parallel quality's other branch; omega = 1 zeroes the
+# gap and 1e308 squares past the float range; epsilon = 1e-200 squares to 0
+OMEGAS = st.one_of(st.sampled_from([1, 1.0, 1e308]), st.integers(1, 10**6), st.floats(1.0, 1e308))
+GAMMAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestReferenceFormulas:
+    """The quality model and the bound against the written-out copies in conftest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dag_seed=st.integers(0, 2**32 - 1),
+        base=st.one_of(st.just(convergence.S_STAR), st.floats(0.0, 1.0)),
+        omega=OMEGAS,
+        gamma=GAMMAS,
+        depth=st.one_of(st.just(0.0), st.floats(0.0, 1e4)),
+        with_metrics=st.booleans(),
+    )
+    @example(dag_seed=0, base=0.9, omega=3, gamma=0.5, depth=2.0, with_metrics=True)
+    @example(dag_seed=0, base=0.9, omega=1e308, gamma=0.0, depth=0.0, with_metrics=True)
+    @example(dag_seed=0, base=0.9, omega=1, gamma=1.0, depth=1.0, with_metrics=True)
+    def test_qualities_match_the_reference(self, dag_seed, base, omega, gamma, depth, with_metrics):
+        dag = random_small_dag(random.Random(dag_seed))
+        if with_metrics:
+            m = replace(compute_metrics(dag, mode=WidthMode.EXACT), width_exact=omega, coupling_density=gamma, depth=depth)
+            got = _outcome(assumption_one_qualities, dag, base=base, metrics=m)
+            want = _outcome(oracle_assumption_one_qualities, dag, base=base, metrics=m)
+        else:
+            got = _outcome(assumption_one_qualities, dag, base=base)
+            want = _outcome(oracle_assumption_one_qualities, dag, base=base)
+        assert got == want
+
+    def test_qualities_of_half_coupled_edges(self):
+        # two edges coupled 0.3 and 0.7 average to exactly 0.5
+        star = make_dag(3, [(0, 1), (0, 2)], couplings=[0.3, 0.7])
+        assert compute_metrics(star).coupling_density == 0.5
+        assert repr(assumption_one_qualities(star)) == repr(oracle_assumption_one_qualities(star))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        epsilon=st.one_of(st.sampled_from([0.0, -0.0, 1e-200, 5e-324, 0.05]), st.floats(0.0, 1e300)),
+        omega=OMEGAS,
+        gamma=GAMMAS,
+        k=st.one_of(st.integers(1, 10**6), st.just(10**400)),
+    )
+    @example(epsilon=0.0, omega=3, gamma=0.4, k=6)
+    @example(epsilon=1e-200, omega=3, gamma=0.0, k=1)
+    @example(epsilon=1e-300, omega=1e308, gamma=0.0, k=1)
+    def test_bound_matches_the_reference(self, epsilon, omega, gamma, k):
+        p = ConvergenceParams(epsilon=epsilon, omega=omega, gamma=gamma, k=k)
+        assert _outcome(variance_ratio_bound, p) == _outcome(oracle_variance_ratio_bound, p)
 
 
 class TestOracleRoute:
@@ -220,6 +290,18 @@ class TestSimulation:
         assert len(calls) == 1
         assert len(shapes) == 1
 
+    def test_per_call_work_stays_out_of_the_trials(self, monkeypatch):
+        params, qualities = [], []
+        build, model = convergence.ConvergenceParams, convergence.assumption_one_qualities
+        monkeypatch.setattr(convergence, "ConvergenceParams", lambda **kw: params.append(kw) or build(**kw))
+        monkeypatch.setattr(
+            convergence, "assumption_one_qualities", lambda *a, **kw: qualities.append(a) or model(*a, **kw)
+        )
+        cfg = SimConfig(archetype=DagArchetype(ArchetypeKind.DIAMOND, 6), epsilon=0.05, trials=50)
+        assert len(simulate_variance(cfg).rows) == 50
+        assert len(params) <= 1
+        assert qualities == []
+
     @settings(max_examples=150, deadline=None)
     @given(
         kind=st.sampled_from(list(ArchetypeKind)),
@@ -265,14 +347,6 @@ class TestSimulation:
     def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
         with pytest.raises(ValueError):
             SimConfig(archetype=DagArchetype(ArchetypeKind.CHAIN, 4), epsilon=epsilon)
-
-
-def _outcome(variance, values):
-    """The repr of ``variance(values)``, or the type of what it raises."""
-    try:
-        return repr(variance(values))
-    except Exception as exc:
-        return type(exc)
 
 
 # every finite float shape: zeros of both signs, subnormals, the extremes,
