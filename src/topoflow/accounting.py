@@ -19,6 +19,9 @@ from .routing import TOPOLOGY_ORDER, TopologyKind
 
 PICO_PER_DOLLAR = 10**12
 MICRO_PER_DOLLAR = 10**6
+# dollars per 1M tokens; with backends.MAX_TOKEN_COUNT a call costs at most
+# 2e24 picodollars, so no run's cost comes near the float range of its reports
+MAX_RATE_PER_1M = 10**6
 
 
 class Phase(enum.Enum):
@@ -36,6 +39,15 @@ class Rate:
     output_micro_per_1m: int
 
 
+def _micro_per_1m(value) -> int:
+    """A pricing row's rate in micro-dollars; ``ValueError`` when it is out of
+    [0, MAX_RATE_PER_1M] dollars per 1M tokens."""
+    dollars = Decimal(str(value))
+    if not 0 <= dollars <= MAX_RATE_PER_1M:
+        raise ValueError(f"pricing rate {value!r} out of [0, {MAX_RATE_PER_1M}] dollars per 1M tokens")
+    return int(dollars * MICRO_PER_DOLLAR)
+
+
 @dataclass(frozen=True)
 class PricingTable:
     as_of: str
@@ -44,12 +56,12 @@ class PricingTable:
     @classmethod
     def from_dict(cls, doc: dict) -> "PricingTable":
         """The table a pricing document holds; ``ValueError`` when a field is
-        missing or a rate is not a decimal number."""
+        missing or a rate is not a decimal number in [0, MAX_RATE_PER_1M]."""
         try:
             rates = {
                 name: Rate(
-                    input_micro_per_1m=int(Decimal(str(row["input_per_1m"])) * MICRO_PER_DOLLAR),
-                    output_micro_per_1m=int(Decimal(str(row["output_per_1m"])) * MICRO_PER_DOLLAR),
+                    input_micro_per_1m=_micro_per_1m(row["input_per_1m"]),
+                    output_micro_per_1m=_micro_per_1m(row["output_per_1m"]),
                 )
                 for name, row in doc["rates"].items()
             }

@@ -86,16 +86,23 @@ class MockBackend(AgentBackend):
         )
 
 
+MAX_TOKEN_COUNT = 10**12  # per call, as a fixture or a provider reports it
+
+
 def _count(value) -> bool:
     return type(value) is int and value >= 0  # a JSON true is no count
+
+
+def _tokens(value) -> bool:
+    return _count(value) and value <= MAX_TOKEN_COUNT
 
 
 # a scripted fixture entry's typed fields: the test each value must pass, and
 # what it must be
 _FIXTURE_FIELDS = {
     "text": (lambda v: type(v) is str, "a string"),
-    "prompt_tokens": (_count, "a non-negative integer"),
-    "completion_tokens": (_count, "a non-negative integer"),
+    "prompt_tokens": (_tokens, f"an integer in [0, {MAX_TOKEN_COUNT}]"),
+    "completion_tokens": (_tokens, f"an integer in [0, {MAX_TOKEN_COUNT}]"),
     "fail_times": (_count, "a non-negative integer"),
     "latency": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number of at least 0"),
 }
@@ -285,7 +292,9 @@ class HttpChatBackend(AgentBackend):
                 usage = body.get("usage", {})
                 prompt_tokens = int(usage.get("prompt_tokens", 0))
                 completion_tokens = int(usage.get("completion_tokens", 0))
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            if not (_tokens(prompt_tokens) and _tokens(completion_tokens)):
+                raise ValueError(f"usage {prompt_tokens}, {completion_tokens} out of [0, {MAX_TOKEN_COUNT}]")
+        except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
             # a 200 with a body we cannot read will not read better on retry
             raise BackendError(f"{self.identity}: malformed response body: {exc!r}") from exc
         return AgentOutput(

@@ -56,9 +56,11 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str, parse: Callable):
-    """``parse`` of the JSON file at ``path``; a document it rejects with
-    ``ValueError`` is a usage error."""
+def _load_config(path: str, parse: Callable, what: str):
+    """``parse`` of the JSON file at ``path``, a ``what``; a missing file, or a
+    document that ``parse`` rejects with ``ValueError``, is a usage error."""
+    if not os.path.exists(path):
+        raise UsageError(f"{what} not found: {path}")
     doc = load_json(path)
     try:
         return parse(doc)
@@ -67,7 +69,7 @@ def _load_config(path: str, parse: Callable):
 
 
 def _load_router_config(path: str | None) -> RouterConfig:
-    return RouterConfig() if path is None else _load_config(path, RouterConfig.from_dict)
+    return RouterConfig() if path is None else _load_config(path, RouterConfig.from_dict, "router config")
 
 
 def _print_decision(decision: RoutingDecision) -> None:
@@ -162,7 +164,7 @@ def cmd_exec(args) -> int:
         relevance=embedding_relevance(embedder),
     )
     ledger = CostLedger(
-        pricing=_load_config(resolve(manifest["pricing"]), PricingTable.from_dict)
+        pricing=_load_config(resolve(manifest["pricing"]), PricingTable.from_dict, "pricing file")
         if manifest.get("pricing")
         else PricingTable.default()
     )

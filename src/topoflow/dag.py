@@ -12,8 +12,9 @@ import functools
 import json
 import logging
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -31,12 +32,7 @@ class CouplingLabel(enum.Enum):
 
 _LABELS = {label.value: label for label in CouplingLabel}
 
-_COUPLING_VALUES = {
-    CouplingLabel.NONE: 0.0,
-    CouplingLabel.WEAK: 0.3,
-    CouplingLabel.STRONG: 0.7,
-    CouplingLabel.CRITICAL: 1.0,
-}
+_COUPLING_VALUES = {"none": 0.0, "weak": 0.3, "strong": 0.7, "critical": 1.0}  # by label value
 
 
 class DagError(Exception):
@@ -69,11 +65,11 @@ class DagIndex(NamedTuple):
 
     The order is Kahn's, with ties broken by sorted id.  Successor and
     predecessor positions are listed in edge order.  A vertex's level is its
-    longest-path depth (sources are 1), and ``layers`` holds the ids of each
-    level, sorted, sources first; each layer is an antichain.  Every caller
-    shares one index and must not change it.  Its fields are plain lists and
-    dicts: tuple copies made it about a third slower to build on the small
-    DAGs that simulation builds by the thousand.
+    longest-path depth (sources are 1), taken in the Kahn pass; ``layers``
+    holds the ids of each level, sorted, sources first; each layer is an
+    antichain.  Every caller shares one index and must not change it.  Its
+    fields are plain lists and dicts: tuple copies made it about a third
+    slower to build on the small DAGs that simulation builds by the thousand.
     """
 
     order: list[str]
@@ -150,9 +146,9 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions.
 
     One pass numbers the distinct ids by sorted rank, builds one integer
-    adjacency and runs Kahn's algorithm once.  Kahn leaves a vertex unordered
-    exactly when there is a cycle; only then is one named.  A valid DAG's
-    report carries its index, built in that Kahn order.
+    adjacency and runs Kahn's algorithm once, taking each level on the way.
+    Kahn leaves a vertex unordered exactly when there is a cycle; only then is
+    one named.  A valid DAG's report carries its index, built in that order.
     """
     violations: list[Violation] = []
 
@@ -172,12 +168,14 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
     adj: list[list[int]] = [[] for _ in range(n)]
     indeg = [0] * n
     loop = None  # the vertex of the first self-edge
-    seen_edges: set[tuple[str, str]] = set()
+    # only a DAG that repeats an edge names its duplicates edge by edge
+    seen_edges: set[tuple[str, str]] | None = set() if len(set(dag.edges)) < len(dag.edges) else None
     coupling = dag.coupling
     for edge in dag.edges:
         u, v = edge
-        i, j = rank.get(u), rank.get(v)
-        if i is None or j is None:
+        try:
+            i, j = rank[u], rank[v]
+        except KeyError:
             violations.append(Violation("dangling_edge", f"edge {edge} references unknown vertex"))
             continue
         adj[i].append(j)
@@ -185,9 +183,10 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
         if u == v:
             violations.append(Violation("self_edge", f"self-edge on {u!r}"))
             loop = u if loop is None else loop
-        if edge in seen_edges:
-            violations.append(Violation("duplicate_edge", f"duplicate edge {edge}"))
-        seen_edges.add(edge)
+        if seen_edges is not None:
+            if edge in seen_edges:
+                violations.append(Violation("duplicate_edge", f"duplicate edge {edge}"))
+            seen_edges.add(edge)
         try:
             c = coupling[edge]
         except KeyError:
@@ -198,10 +197,15 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
     del rank, seen_edges
 
     # ranks order like ids, so a FIFO over rank-sorted batches is Kahn's
-    # order with ties broken by sorted id; the DFS needs adj in edge order
+    # order with ties broken by sorted id; the DFS needs adj in edge order.
+    # A vertex's level is final once all its predecessors have left the queue.
     ready = [i for i in range(n) if not indeg[i]]
+    level = [1] * n
     for i in ready:
+        up = level[i] + 1
         for j in sorted(adj[i]):
+            if level[j] < up:
+                level[j] = up
             indeg[j] -= 1
             if not indeg[j]:
                 ready.append(j)
@@ -212,11 +216,11 @@ def validate_dag(dag: TaskDag) -> ValidationReport:
     if violations:
         return ValidationReport(ok=False, violations=tuple(violations))
     del adj
-    return ValidationReport(ok=True, index=_build_index(dag, [ids[i] for i in ready]))
+    return ValidationReport(ok=True, index=_build_index(dag, [ids[i] for i in ready], [level[i] for i in ready]))
 
 
-def _build_index(dag: TaskDag, order: list[str]) -> DagIndex:
-    """Index a valid DAG whose ids are listed in ``order``, a topological order."""
+def _build_index(dag: TaskDag, order: list[str], level: list[int]) -> DagIndex:
+    """Index a valid DAG from its ids in ``order``, a topological order, and their levels."""
     n = len(order)
     position = dict(zip(order, range(n)))
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -225,11 +229,6 @@ def _build_index(dag: TaskDag, order: list[str]) -> DagIndex:
         p, q = position[u], position[v]
         succ[p].append(q)
         pred[q].append(p)
-    level = [1] * n
-    for i, out in enumerate(succ):
-        for j in out:
-            if level[j] <= level[i]:
-                level[j] = level[i] + 1
     layers: list[list[str]] = [[] for _ in range(max(level, default=0))]
     for vid, lv in zip(order, level):
         layers[lv - 1].append(vid)
@@ -286,6 +285,7 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
     edges: list[tuple[str, str]] = []
     coupling: dict[tuple[str, str], float] = {}
     declared: set[str] = set()
+    values: list[float] = []  # each record's coupling value
 
     for i, rec in enumerate(records):
         if not isinstance(rec, Mapping):
@@ -300,7 +300,8 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
             raise ParseError(f"record {vid!r} has a description that is not a string: {description!r}")
         if not isinstance(rec["depends_on"], list):
             raise ParseError(f"record {vid!r} has depends_on that is not a list: {rec['depends_on']!r}")
-        label = _LABELS.get(str(rec["coupling"]).lower())
+        key = str(rec["coupling"]).lower()
+        label = _LABELS.get(key)
         if label is None:
             raise ParseError(f"record {vid!r} has unknown coupling label {rec['coupling']!r}")
         if tokens is None:
@@ -312,16 +313,17 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
             weight = float(tokens)
         except OverflowError as exc:
             raise ParseError(f"record {vid!r} has estimated_tokens too large for a float") from exc
-        vertices.append(Subtask(id=vid, description=description, weight=weight, declared_coupling=label))
+        vertices.append(Subtask(vid, description, weight, label))
         declared.add(vid)
+        values.append(_COUPLING_VALUES[key])
 
-    for rec, sub in zip(records, vertices):
-        c = _COUPLING_VALUES[sub.declared_coupling]
+    for rec, sub, c in zip(records, vertices, values):
+        vid = sub.id
         for dep in rec["depends_on"]:
             if not isinstance(dep, str) or dep not in declared:
-                raise ParseError(f"record {sub.id!r} depends on undeclared id {dep!r}")
-            edges.append((dep, sub.id))
-            coupling[(dep, sub.id)] = c
+                raise ParseError(f"record {vid!r} depends on undeclared id {dep!r}")
+            edges.append((dep, vid))
+            coupling[(dep, vid)] = c
 
     dag = TaskDag(vertices=tuple(vertices), edges=tuple(edges), coupling=coupling)
     dag.index  # validates, or raises ValidationError
@@ -367,10 +369,10 @@ def deserialize_dag(doc: Mapping) -> TaskDag:
             if not isinstance(description, str):
                 raise TypeError(f"vertex {vid!r} has a description that is not a string: {description!r}")
             vertices.append(Subtask(
-                id=vid,
-                description=description,
-                weight=float(rec.get("weight", DEFAULT_WEIGHT)),
-                declared_coupling=_declared_label(rec.get("declared_coupling", "none")),
+                vid,
+                description,
+                float(rec.get("weight", DEFAULT_WEIGHT)),
+                _declared_label(rec.get("declared_coupling", "none")),
             ))
         edges: list[tuple[str, str]] = []
         coupling: dict[tuple[str, str], float] = {}
@@ -394,7 +396,7 @@ def load_json(path: str):
         # not JSON, not UTF-8, an integer past the conversion limit, or
         # nested deeper than the decoder recurses
         except (ValueError, RecursionError) as exc:
-            raise ParseError(str(exc)) from None
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def load_dag(path: str) -> TaskDag:

@@ -19,7 +19,8 @@ When the two meet, as on chains, stars and diamonds, that is the answer, in
 O(|V| + |E|).  Otherwise the closure is built as Python-int bitsets in
 reverse topological order, and the greedy matching grows by augmenting-path
 searches (iterative, so depth is not bounded by the recursion limit) until
-it is maximum or |V| minus its size reaches L.
+it is maximum or |V| minus its size reaches L.  The searches mask the
+unseen and the free right vertices in non-negative ints, never complemented.
 """
 
 from __future__ import annotations
@@ -101,10 +102,14 @@ def width_exact(dag: TaskDag) -> int:
 
     # Kuhn's algorithm, one search per unmatched vertex, with an explicit
     # stack of alternating paths.  A vertex with no augmenting path never
-    # gains one as others augment, so one pass is enough; and a right vertex
-    # seen by a failed search cannot lie on an augmenting path until the
-    # matching changes, so `seen` is cleared only after an augmentation.
-    seen = 0
+    # gains one as others augment, so one pass is enough.  A step ends the
+    # path at a `free` (unmatched) right vertex if it reaches one, else it
+    # descends through the lowest `unseen` one; so a failed search sees only
+    # matched vertices, which cannot lie on an augmenting path until the
+    # matching changes, and `unseen` is refilled only after an augmentation.
+    full = (1 << n) - 1
+    free = full ^ sum(1 << v for v in range(n) if match_r[v] >= 0)
+    unseen = full
     for root in range(n):
         if n - matched == lower:
             break
@@ -112,22 +117,27 @@ def width_exact(dag: TaskDag) -> int:
             continue
         lefts, rights = [root], []
         while lefts:
-            cand = reach[lefts[-1]] & ~seen
+            reached = reach[lefts[-1]]
+            bit = reached & free
+            if bit:
+                bit &= -bit
+                rights.append(bit.bit_length() - 1)
+                for u, w in zip(lefts, rights):
+                    match_l[u], match_r[w] = w, u
+                free ^= bit
+                matched += 1
+                unseen = full
+                break
+            cand = reached & unseen
             if not cand:
                 lefts.pop()
                 if rights:
                     rights.pop()
                 continue
             bit = cand & -cand
-            seen |= bit
+            unseen ^= bit
             v = bit.bit_length() - 1
             rights.append(v)
-            if match_r[v] < 0:
-                for u, w in zip(lefts, rights):
-                    match_l[u], match_r[w] = w, u
-                matched += 1
-                seen = 0
-                break
             lefts.append(match_r[v])
     return n - matched
 
@@ -146,7 +156,7 @@ def compute_metrics(dag: TaskDag, mode: WidthMode = WidthMode.EXACT) -> DagMetri
         w_exact = w_approx
     depth = critical_path_depth(dag)
     density = (
-        sum(dag.coupling[e] for e in dag.edges) / dag.edge_count
+        sum(map(dag.coupling.__getitem__, dag.edges)) / dag.edge_count
         if dag.edge_count
         else 0.0
     )

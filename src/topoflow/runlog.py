@@ -8,11 +8,8 @@ leaves a half-written artifact.  Log records are JSON objects with a
 from __future__ import annotations
 
 import json
-import logging
 import os
 import tempfile
-
-logger = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
 
@@ -68,7 +65,7 @@ def read_jsonl(path: str) -> tuple[list[dict], int]:
     records: list[dict] = []
     skipped = 0
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        for raw in fh:
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
@@ -81,5 +78,4 @@ def read_jsonl(path: str) -> tuple[list[dict], int]:
                 records.append(record)
             else:
                 skipped += 1
-                logger.warning("%s:%d: skipping corrupt log line", path, lineno)
     return records, skipped

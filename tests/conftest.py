@@ -242,6 +242,70 @@ def oracle_find_cycle(ids, edges):
     return None
 
 
+def oracle_width_exact(dag):
+    """Reference for ``topoflow.metrics.width_exact``: Kuhn's search with one
+    ``seen`` mask, complemented at every step, and no look-ahead for a free
+    vertex."""
+    index = dag.index
+    n = len(index.order)
+    if n == 0:
+        return 0
+    lower = max(map(len, index.layers))
+    # greedy path cover: each vertex extends its path to the first successor
+    # that no path has entered yet; match_l[u] = v pairs u with a later v
+    match_l = [-1] * n
+    match_r = [-1] * n
+    matched = 0
+    for u, out in enumerate(index.succ):
+        for v in out:
+            if match_r[v] < 0:
+                match_l[u], match_r[v] = v, u
+                matched += 1
+                break
+    if n - matched == lower:
+        return lower
+
+    # bit v of reach[u] is set when position v is reachable from u
+    reach = [0] * n
+    for u in range(n - 1, -1, -1):
+        r = 0
+        for v in index.succ[u]:
+            r |= reach[v] | (1 << v)
+        reach[u] = r
+
+    # Kuhn's algorithm, one search per unmatched vertex, with an explicit
+    # stack of alternating paths.  A vertex with no augmenting path never
+    # gains one as others augment, so one pass is enough; and a right vertex
+    # seen by a failed search cannot lie on an augmenting path until the
+    # matching changes, so `seen` is cleared only after an augmentation.
+    seen = 0
+    for root in range(n):
+        if n - matched == lower:
+            break
+        if match_l[root] >= 0:
+            continue
+        lefts, rights = [root], []
+        while lefts:
+            cand = reach[lefts[-1]] & ~seen
+            if not cand:
+                lefts.pop()
+                if rights:
+                    rights.pop()
+                continue
+            bit = cand & -cand
+            seen |= bit
+            v = bit.bit_length() - 1
+            rights.append(v)
+            if match_r[v] < 0:
+                for u, w in zip(lefts, rights):
+                    match_l[u], match_r[w] = w, u
+                matched += 1
+                seen = 0
+                break
+            lefts.append(match_r[v])
+    return n - matched
+
+
 # -- reference implementations of the archetype generator and the simulator ---
 
 def oracle_generate_archetype(spec, *, uniform_weights=False):

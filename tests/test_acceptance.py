@@ -35,7 +35,7 @@ from topoflow.convergence import (
 )
 from topoflow.dag import deserialize_dag
 from topoflow.execution import ExecutionEngine, make_plan
-from topoflow.metrics import WidthMode, compute_metrics, topological_layers
+from topoflow.metrics import WidthMode, compute_metrics, topological_layers, width_exact
 from topoflow.routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind, route
 from topoflow.synthesis import (
     FixtureEmbedder,
@@ -254,9 +254,9 @@ def test_exact_variance_latency():
     assert elapsed < 0.3, f"10,000 exact variances took {elapsed:.2f}s"
 
 
-def test_ingest_and_index_latency():
-    # beside criterion 7: validation and the index run on integer positions,
-    # and the cycle search runs only when Kahn's count leaves vertices out
+def _seeded_canonical_doc():
+    """A canonical document of 1,000 vertices and 5,000 edges, seeded, with
+    vertices and edges in shuffled order."""
     rng = random.Random(7)
     ids = [f"s{k}" for k in rng.sample(range(10**6), 1000)]  # topological by construction
     pairs: set[tuple[int, int]] = set()
@@ -266,10 +266,16 @@ def test_ingest_and_index_latency():
     rng.shuffle(edges)
     order = list(range(1000))
     rng.shuffle(order)
-    doc = {
+    return {
         "vertices": [{"id": ids[i], "weight": 1.0, "declared_coupling": "weak"} for i in order],
         "edges": [{"source": ids[i], "target": ids[j], "coupling": 0.3} for i, j in edges],
     }
+
+
+def test_ingest_and_index_latency():
+    # beside criterion 7: validation and the index run on integer positions,
+    # and the cycle search runs only when Kahn's count leaves vertices out
+    doc = _seeded_canonical_doc()
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
@@ -278,6 +284,22 @@ def test_ingest_and_index_latency():
     median_ms = statistics.median(times) * 1000
     print(f"\ningest and index, |V|=1000 |E|=5000: median {median_ms:.1f} ms (< 45 ms)")
     assert median_ms < 45.0, f"ingest and index of 1000 vertices, 5000 edges: {median_ms:.1f} ms"
+
+
+def test_exact_width_search_latency():
+    # beside criterion 7: on the same DAG the layer bound (93) and the greedy
+    # cover do not meet, so the closure is built and the augmenting search runs
+    dag = deserialize_dag(_seeded_canonical_doc())
+    assert max(map(len, dag.index.layers)) == 93
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        width = width_exact(dag)
+        times.append(time.perf_counter() - t0)
+    median_ms = statistics.median(times) * 1000
+    print(f"\nexact width, |V|=1000 |E|=5000: {width}, median {median_ms:.1f} ms (< 85 ms)")
+    assert width == 166
+    assert median_ms < 85.0, f"exact width of 1000 vertices, 5000 edges: {median_ms:.1f} ms"
 
 
 def test_hybrid_exec_and_consistency_latency():

@@ -714,6 +714,34 @@ class TestReport:
         assert rc == 0
         assert "corrupt" in capsys.readouterr().err
 
+    def test_a_corrupt_line_is_reported_once(self, tmp_path):
+        # a fresh interpreter, where no test harness has configured logging
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        good = {"type": "run", "topology": "hybrid", "iterations": 2}
+        (logs / "runs.jsonl").write_text(json.dumps(good) + "\ngarbage line\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "topoflow.cli", "report", "--logs", str(logs), "--out", str(tmp_path / "rep")],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert done.stderr == "warning: skipped 1 corrupt log line(s)\n"
+
+
+class TestInputFilesNamed:
+    def test_a_bad_pricing_file_is_named(self, tmp_path, capsys):
+        # the manifest names a router config, a pricing file and a fixture
+        (tmp_path / "config.json").write_text("{}")
+        (tmp_path / "pricing.json").write_bytes(b'{"as_of": "2026-01-01"}\xff')
+        manifest = write_manifest(
+            tmp_path, router_config=str(tmp_path / "config.json"), pricing=str(tmp_path / "pricing.json"),
+            backend="scripted:" + write_fixture(tmp_path),
+        )
+        assert main(["exec", manifest]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'pricing.json'}: ")
+
 
 def test_import_loads_only_the_stdlib_and_no_http():
     # an offline run must not pay for the HTTP stack, nor need any package but topoflow
@@ -742,6 +770,16 @@ def _diamond_records(**changes):
 _DEEP = b"[" * 100_000 + b"]" * 100_000  # deeper than the JSON decoder recurses
 _TASK_SCORES = {"parallel": 0.5, "sequential": 0.9, "hierarchical": 0.4, "hybrid": 0.6}
 _PRICING = {"as_of": "2026-01-01", "rates": {"scripted": {"input_per_1m": "0", "output_per_1m": "0"}}}
+
+
+def _pricing_rates(**row):
+    return {**_PRICING, "rates": {"scripted": {"input_per_1m": "0", "output_per_1m": "0", **row}}}
+
+
+def _write_json(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
 
 # (where the document goes, the document, exit code); "exec-fields" documents
 # are manifest fields
@@ -807,6 +845,17 @@ MALFORMED_INPUTS = {
     "fixture-latency-nan": ("exec-fixture", b'{"v1": {"latency": NaN}}', 3),
     "fixture-latency-negative": ("exec-fixture", fixture_entries(v1={"latency": -1}), 3),
     "fixture-latency-not-number": ("exec-fixture", fixture_entries(v1={"latency": "x"}), 3),
+    # a cost past the float range would crash the ledger after every call was made
+    "pricing-rate-1e308-string": ("exec-pricing", _pricing_rates(output_per_1m="1e308"), 2),
+    "pricing-rate-1e308-number": ("exec-pricing", _pricing_rates(output_per_1m=1e308), 2),
+    "pricing-rate-past-ceiling": ("exec-pricing", _pricing_rates(input_per_1m="1000000.000001"), 2),
+    "pricing-rate-negative": ("exec-pricing", _pricing_rates(input_per_1m="-1"), 2),
+    "fixture-completion-tokens-400-digits": ("exec-fixture-priced", fixture_entries(v1={"completion_tokens": 10**400}), 3),
+    "fixture-prompt-tokens-past-ceiling": ("exec-fixture", fixture_entries(v1={"prompt_tokens": 10**12 + 1}), 3),
+    # files named as options or in a manifest that do not exist
+    "config-missing": ("route-config-missing", None, 2),
+    "manifest-config-missing": ("exec-config-missing", None, 2),
+    "manifest-pricing-missing": ("exec-pricing-missing", None, 2),
 }
 ERR_PREFIX = {0: "warning: skipped 1 corrupt", 2: "usage error: ", 3: "data error: "}
 
@@ -826,6 +875,13 @@ def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
         "exec-pricing": lambda: ["exec", write_manifest(tmp_path, pricing=str(path))],
         "exec-fields": lambda: ["exec", write_manifest(tmp_path, **doc)],
         "exec-fixture": lambda: ["exec", write_manifest(tmp_path, backend="scripted:" + str(path))],
+        "exec-fixture-priced": lambda: ["exec", write_manifest(
+            tmp_path, backend="scripted:" + str(path),
+            pricing=_write_json(tmp_path / "pricing.json", _pricing_rates(output_per_1m="2")),
+        )],
+        "route-config-missing": lambda: ["route", diamond, "--config", str(tmp_path / "nope.json")],
+        "exec-config-missing": lambda: ["exec", write_manifest(tmp_path, router_config="nope.json")],
+        "exec-pricing-missing": lambda: ["exec", write_manifest(tmp_path, pricing="nope.json")],
         "calibrate": lambda: ["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")],
         "report-logs": lambda: ["report", "--logs", str(tmp_path), "--out", str(tmp_path / "rep")],
     }[where]()

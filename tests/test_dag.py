@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topoflow.dag import (
@@ -14,6 +14,7 @@ from topoflow.dag import (
     Violation,
     deserialize_dag,
     ingest,
+    load_json,
     parse_decomposition,
     serialize_dag,
     validate_dag,
@@ -157,6 +158,19 @@ class TestValidateDag:
 
     @settings(max_examples=400, deadline=None)
     @given(flawed_dags())
+    # an edge set with repeats, where duplicates are named edge by edge: a
+    # valid edge twice, a dangling edge twice and an edge with no coupling
+    @example(TaskDag(
+        tuple(Subtask(vid) for vid in "abc"),
+        (("a", "b"), ("a", "x"), ("b", "c"), ("a", "x"), ("a", "b"), ("a", "c")),
+        {("a", "b"): 0.3, ("b", "c"): 0.7},
+    ))
+    # repeats only among dangling edges, which name no duplicate
+    @example(TaskDag(
+        tuple(Subtask(vid) for vid in "ab"), (("a", "y"), ("a", "b"), ("a", "y")), {("a", "b"): 0.3}
+    ))
+    # no repeats: the per-edge set is never built
+    @example(TaskDag(tuple(Subtask(vid) for vid in "ab"), (("a", "b"), ("b", "a")), {}))
     def test_report_matches_the_reference(self, dag):
         # the same violations in the same order, each with the same detail
         assert validate_dag(dag) == oracle_validate_dag(dag)
@@ -254,6 +268,18 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc:
             deserialize_dag(doc)
         assert str(exc.value) == f"malformed canonical DAG document: {message}"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"a": "\xff"}', b'{"a": ', b"[" * 100_000 + b"]" * 100_000, b"1" * 4301],
+        ids=["not-utf8", "not-json", "nested-too-deep", "int-past-digit-limit"],
+    )
+    def test_load_json_names_the_file(self, tmp_path, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as exc:
+            load_json(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
 
     def test_ingest_garbage(self):
         with pytest.raises(ParseError):

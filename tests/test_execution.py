@@ -178,7 +178,18 @@ class TestHttpChatBackend:
             "messages": [{"role": "user", "content": "do x\n\nctx"}],
         }
 
-    @pytest.mark.parametrize("body", [{"error": "no choices"}, {"choices": []}, "<html>bad gateway</html>"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"error": "no choices"},
+            {"choices": []},
+            "<html>bad gateway</html>",
+            # usage counts out of [0, MAX_TOKEN_COUNT], which could overflow the ledger's float costs
+            {**OK_BODY, "usage": {"prompt_tokens": 10**12 + 1, "completion_tokens": 1}},
+            {**OK_BODY, "usage": {"prompt_tokens": 1, "completion_tokens": -1}},
+            '{"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": 1e400}}',
+        ],
+    )
     def test_malformed_body_is_permanent_backend_error(self, body):
         with pytest.raises(BackendError) as ei:
             self.backend(200, body).invoke("do x", "")

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topoflow.archetypes import ArchetypeKind, DagArchetype, generate_archetype
@@ -20,9 +20,20 @@ from conftest import (
     brute_levels,
     brute_max_antichain,
     make_dag,
+    oracle_width_exact,
     random_small_dag,
     reachability,
 )
+
+
+def deep_augmenting_dag(k):
+    """Sources p_0..p_k over sinks q_0..q_k, with p_i -> q_(i+1) listed
+    before p_i -> q_i.  The greedy cover takes every p_i -> q_(i+1) and leaves
+    p_k alone; the one augmenting path then runs p_k, q_k, p_(k-1), ..., q_0.
+    The matching p_i -> q_i is perfect, so the width is k + 1."""
+    p, q = range(k + 1), range(k + 1, 2 * k + 2)
+    edges = [(p[i], q[i + 1]) for i in range(k)] + [(p[i], q[i]) for i in range(k + 1)]
+    return make_dag(2 * k + 2, edges)
 
 
 class TestFixedExamples:
@@ -129,6 +140,22 @@ def small_dags(draw, max_n=12):
     return make_dag(n, draw(st.permutations(edges)))
 
 
+@st.composite
+def searched_dags(draw):
+    """DAGs of 20-200 vertices with a mean out-degree of 1-8, in shuffled
+    vertex and edge order.  On such DAGs the layer bound and the greedy cover
+    almost never meet (on 98% of draws at degree 1, and on all at 2 and
+    above), so the augmenting search runs."""
+    n = draw(st.integers(20, 200))
+    p = draw(st.floats(1.0, 8.0)) / n
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rank = list(range(n))
+    rng.shuffle(rank)
+    edges = [(rank[i], rank[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    rng.shuffle(edges)
+    return make_dag(n, edges)
+
+
 class TestExactWidth:
     @given(small_dags())
     @settings(max_examples=300, deadline=None)
@@ -151,15 +178,15 @@ class TestExactWidth:
         assert width_exact(dag) == width
 
     def test_deep_augmenting_path(self):
-        # Sources p_0..p_k over sinks q_0..q_k, with p_i -> q_(i+1) listed
-        # before p_i -> q_i.  The greedy cover takes every p_i -> q_(i+1) and
-        # leaves p_k alone; the one augmenting path then runs
-        # p_k, q_k, p_(k-1), ..., q_0, deeper than the recursion limit.  The
-        # matching p_i -> q_i is perfect, so the width is k + 1.
-        k = 1500
-        p, q = range(k + 1), range(k + 1, 2 * k + 2)
-        edges = [(p[i], q[i + 1]) for i in range(k)] + [(p[i], q[i]) for i in range(k + 1)]
-        assert width_exact(make_dag(2 * k + 2, edges)) == k + 1
+        # the augmenting path is deeper than the recursion limit
+        assert width_exact(deep_augmenting_dag(1500)) == 1501
+
+    @given(searched_dags())
+    @example(deep_augmenting_dag(1500))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference(self, dag):
+        # a different maximum matching may be found, but never a different size
+        assert width_exact(dag) == oracle_width_exact(dag)
 
 
 class TestCycles:
