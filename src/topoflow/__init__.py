@@ -40,9 +40,11 @@ from .execution import (
     ExecutionFailure,
     ExecutionPlan,
     ExecutionTrace,
+    TaskRun,
     assign_agents,
     make_plan,
     merge_context,
+    run_task,
 )
 from .metrics import DagMetrics, WidthMode, compute_metrics, topological_layers
 from .routing import (

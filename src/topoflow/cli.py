@@ -23,7 +23,7 @@ from .accounting import (
     topology_distribution,
 )
 from .archetypes import ArchetypeKind, DagArchetype, archetype_edges
-from .backends import AgentBackend, AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
+from .backends import AgentBackend, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from .convergence import (
     BoundDiverges,
     ConvergenceParams,
@@ -33,7 +33,7 @@ from .convergence import (
     variance_ratio_bound,
 )
 from .dag import DagError, ParseError, ValidationError, load_dag, load_json
-from .execution import ExecutionEngine, ExecutionFailure, ExecutionTrace, embedding_relevance, make_plan
+from .execution import ExecutionFailure, run_task
 from .routing import (
     RouterConfig,
     RoutingDecision,
@@ -43,7 +43,7 @@ from .routing import (
     route,
     split_dev_test,
 )
-from .synthesis import HashedEmbedder, SynthesisConfig, SynthesisError, synthesize
+from .synthesis import SynthesisError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,8 +59,8 @@ class UsageError(Exception):
 def _load_config(path: str, parse: Callable, what: str):
     """``parse`` of the JSON file at ``path``, a ``what``; a missing file, or a
     document that ``parse`` rejects with ``ValueError``, is a usage error."""
-    if not os.path.exists(path):
-        raise UsageError(f"{what} not found: {path}")
+    if not os.path.isfile(path):
+        raise UsageError(f"{what} not found or not a file: {path}")
     doc = load_json(path)
     try:
         return parse(doc)
@@ -103,8 +103,8 @@ def _make_pool(spec: str, base_dir: str) -> list[AgentBackend]:
         path = spec.split(":", 1)[1]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            raise UsageError(f"scripted fixture not found: {path}")
+        if not os.path.isfile(path):
+            raise UsageError(f"scripted fixture not found or not a file: {path}")
         return [ScriptedBackend.from_file(path)]
     if ":" in spec:
         provider, model = spec.split(":", 1)
@@ -148,21 +148,14 @@ def cmd_exec(args) -> int:
         lambda v: isinstance(v, (int, float)) and 0 <= v <= 1, "a number in [0, 1]",
     ))
     dag_path = resolve(manifest["dag"])
-    if not os.path.exists(dag_path):
-        raise UsageError(f"dag file not found: {dag_path}")
+    if not os.path.isfile(dag_path):
+        raise UsageError(f"dag file not found or not a file: {dag_path}")
     dag = load_dag(dag_path)
     config = _load_router_config(
         resolve(manifest["router_config"]) if manifest.get("router_config") else None
     )
     pool = _make_pool(manifest["backend"], base_dir)
     offline = manifest["backend"] == "mock" or manifest["backend"].startswith("scripted:")
-    embedder = HashedEmbedder()  # one memo for context merging and synthesis
-    engine = ExecutionEngine(
-        concurrency_limit=concurrency,
-        clock="virtual" if offline else "wall",
-        task_text=manifest.get("task", ""),
-        relevance=embedding_relevance(embedder),
-    )
     ledger = CostLedger(
         pricing=_load_config(resolve(manifest["pricing"]), PricingTable.from_dict, "pricing file")
         if manifest.get("pricing")
@@ -176,54 +169,30 @@ def cmd_exec(args) -> int:
     out_dir = resolve(manifest["output_dir"])
     os.makedirs(out_dir, exist_ok=True)
 
-    decision = route(dag, config)
-    log_records: list[dict] = [{"type": "route", **decision.to_record()}]
-    traces: list[ExecutionTrace] = []  # every execution, in run order, failed ones too
-    synth_calls: list[AgentOutput] = []  # merge and arbiter calls, appended as each returns
-
-    def execute(topology) -> list[str]:
-        plan = make_plan(dag, topology, pool, context_budget=budget)
-        trace = engine.run(dag, plan)
-        traces.append(trace)
-        texts = [o.text for o in trace.ordered_outputs()]
-        if "reconcile" in trace.lead:
-            texts.append(trace.lead["reconcile"].text)
-        return texts
-
-    def reroute(gamma: float):
-        new_decision = route(dag, config, gamma_override=gamma)
-        log_records.append({"type": "route", **new_decision.to_record()})
-        return execute(new_decision.topology), new_decision.topology
-
-    failure = None
-    try:
-        syn = synthesize(
-            execute(decision.topology),
-            decision.topology,
-            SynthesisConfig(theta_cs=theta_cs, gamma0=decision.gamma_used),
-            pool[0],
-            reroute=reroute,
-            embedder=embedder,
-            calls=synth_calls,
-        )
-    except ExecutionFailure as exc:
-        traces.append(exc.trace)  # the calls that did complete were paid for
-        failure = f"execute: failed vertices {sorted(exc.failed)}"
-    except SynthesisError as exc:
-        failure = f"synthesize: {exc}"
-
-    for trace in traces:
+    run = run_task(
+        dag,
+        pool,
+        router_config=config,
+        task=manifest.get("task", ""),
+        concurrency=concurrency,
+        context_budget=budget,
+        theta_cs=theta_cs,
+        clock="virtual" if offline else "wall",
+    )
+    for trace in run.traces:
         for out in [*trace.ordered_outputs(), *trace.lead.values()]:
             ledger.record(out, Phase.EXECUTE)
-    for call in synth_calls:
+    for call in run.synthesis_calls:
         ledger.record(call, Phase.SYNTHESIZE)
-    runlog.write_json(os.path.join(out_dir, "trace.json"), traces[-1].to_record())
+    runlog.write_json(os.path.join(out_dir, "trace.json"), run.traces[-1].to_record())
     runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
-    if failure is None:
+    log_records = [{"type": "route", **decision.to_record()} for decision in run.routes]
+    syn = run.result
+    if syn is not None:
         report = RunReport(
             total_tokens=ledger.total_tokens,
             cost_microdollars=ledger.cost_microdollars(),
-            wall_clock=sum(t.wall_clock for t in traces) + sum(c.latency for c in synth_calls),
+            wall_clock=sum(t.wall_clock for t in run.traces) + sum(c.latency for c in run.synthesis_calls),
             topology=syn.route_trail[-1][1],
             iterations=syn.iterations,
         )
@@ -234,8 +203,8 @@ def cmd_exec(args) -> int:
             {**report.to_record(), "final_text": syn.final_text, "consistency": syn.consistency},
         )
     runlog.write_jsonl(os.path.join(out_dir, "run.log.jsonl"), log_records)
-    if failure is not None:
-        print(failure, file=sys.stderr)
+    if syn is None:
+        print(run.failure, file=sys.stderr)
         return EXIT_BACKEND
     print(f"topology: {report.topology.value}")
     print(f"iterations: {report.iterations}")
@@ -284,10 +253,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_task_file(path: str):
-    return calibration_task(load_json(path))
-
-
 def cmd_calibrate(args) -> int:
     try:
         if args.synthetic is not None and args.synthetic < 1:
@@ -309,7 +274,7 @@ def cmd_calibrate(args) -> int:
         )
         if not files:
             raise UsageError(f"no task files in {args.tasks}")
-        tasks = [_load_task_file(f) for f in files]
+        tasks = [calibration_task(load_json(f)) for f in files]
     ids = [str(i) for i in range(len(tasks))]
     dev_ids, test_ids = split_dev_test(ids, args.fraction, args.seed)
     dev = [tasks[int(i)] for i in dev_ids]

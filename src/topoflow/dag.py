@@ -271,6 +271,7 @@ def _find_cycle(ids: list[str], adj: list[list[int]]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 _RECORD_FIELDS = ("id", "description", "depends_on", "coupling")
+_NUMBER_TYPES = (int, float)  # a number field's exact type in both loaders: no bool, no string
 
 
 def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
@@ -307,7 +308,7 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
         if tokens is None:
             tokens = DEFAULT_WEIGHT
             logger.warning("record %r missing estimated_tokens; defaulting to %s", vid, tokens)
-        elif isinstance(tokens, bool) or not isinstance(tokens, (int, float)):
+        elif type(tokens) not in _NUMBER_TYPES:
             raise ParseError(f"record {vid!r} has estimated_tokens that is not a number: {tokens!r}")
         try:
             weight = float(tokens)
@@ -368,18 +369,27 @@ def deserialize_dag(doc: Mapping) -> TaskDag:
                 raise TypeError(f"vertex id {vid!r} is not a string")
             if not isinstance(description, str):
                 raise TypeError(f"vertex {vid!r} has a description that is not a string: {description!r}")
+            weight = rec.get("weight", DEFAULT_WEIGHT)
+            if type(weight) is not float:  # a float is kept as it is, which float() would return
+                if type(weight) not in _NUMBER_TYPES:
+                    raise TypeError(f"vertex {vid!r} has a weight that is not a number: {weight!r}")
+                weight = float(weight)
             vertices.append(Subtask(
                 vid,
                 description,
-                float(rec.get("weight", DEFAULT_WEIGHT)),
+                weight,
                 _declared_label(rec.get("declared_coupling", "none")),
             ))
         edges: list[tuple[str, str]] = []
         coupling: dict[tuple[str, str], float] = {}
         for e in doc["edges"]:
-            edge = (e["source"], e["target"])
+            edge, value = (e["source"], e["target"]), e["coupling"]
+            if type(value) is not float:
+                if type(value) not in _NUMBER_TYPES:
+                    raise TypeError(f"edge {edge!r} has a coupling that is not a number: {value!r}")
+                value = float(value)
             edges.append(edge)
-            coupling[edge] = float(e["coupling"])
+            coupling[edge] = value
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed canonical DAG document: {exc}") from exc
     dag = TaskDag(vertices=tuple(vertices), edges=tuple(edges), coupling=coupling)

@@ -5,7 +5,8 @@ clocks: "wall" measures real time on one thread pool per run, whose workers
 (and so each worker's backend connection) serve every group; "virtual"
 executes invocations deterministically in schedule order and computes the
 makespan from backend-reported latencies, which keeps traces
-byte-reproducible with mock and scripted backends.
+byte-reproducible with mock and scripted backends.  ``run_task`` is the
+adaptive pipeline around the engine: route, execute, synthesize, re-route.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from typing import Callable, Sequence
 
 from .backends import AgentBackend, AgentOutput, BackendError
 from .dag import Subtask, TaskDag
-from .routing import TopologyKind
-from .synthesis import Embedder, HashedEmbedder, _sparse_cosine, _template
+from .routing import RouterConfig, RoutingDecision, TopologyKind, route
+from .synthesis import DEFAULT_THETA_CS, Embedder, HashedEmbedder, SynthesisConfig, SynthesisError, SynthesisResult
+from .synthesis import _sparse_cosine, _template, synthesize
 from .synthesis import cosine  # noqa: F401  (perfbench's self-test patches this binding)
 
 DEFAULT_CONCURRENCY = 8
@@ -179,7 +181,6 @@ class ExecutionEngine:
         concurrency_limit: int = DEFAULT_CONCURRENCY,
         clock: str = "virtual",
         task_text: str = "",
-        relevance: RelevanceFn | None = None,
     ):
         if clock not in ("virtual", "wall"):
             raise ValueError(f"clock must be 'virtual' or 'wall', got {clock!r}")
@@ -188,7 +189,8 @@ class ExecutionEngine:
         self.concurrency_limit = concurrency_limit
         self.clock = clock
         self.task_text = task_text
-        self.relevance = relevance or embedding_relevance()
+        self.embedder = HashedEmbedder()  # its memo serves context merging, and synthesis in run_task
+        self.relevance = embedding_relevance(self.embedder)
 
     def run(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
         """Run the plan's groups in order, each group's vertices concurrently.
@@ -342,3 +344,66 @@ class ExecutionEngine:
                 trace.outputs[vid] = out.with_subtask(vid)
                 trace.timings[vid] = VertexTiming(start=start, finish=finish)
         return group_end if pool is None else time.monotonic() - t0 + group_start
+
+
+@dataclass
+class TaskRun:
+    """One adaptive run: each route, every execution (failed ones too) and
+    each merge or arbiter call in run order, then the result or the failure."""
+
+    routes: list[RoutingDecision] = field(default_factory=list)
+    traces: list[ExecutionTrace] = field(default_factory=list)
+    synthesis_calls: list[AgentOutput] = field(default_factory=list)
+    result: SynthesisResult | None = None
+    failure: str | None = None
+
+
+def run_task(
+    dag: TaskDag,
+    pool: Sequence[AgentBackend],
+    *,
+    router_config: RouterConfig | None = None,
+    task: str = "",
+    concurrency: int = DEFAULT_CONCURRENCY,
+    context_budget: int = DEFAULT_CONTEXT_BUDGET,
+    theta_cs: float = DEFAULT_THETA_CS,
+    clock: str = "virtual",
+) -> TaskRun:
+    """Route ``dag``, execute it on ``pool``, synthesize the outputs with the
+    pool's first backend, and re-route at a higher γ while synthesis asks to.
+
+    Context merging and synthesis share the engine's embedder.  A failed
+    execution or synthesis call ends the run without raising: ``failure``
+    says why, and a failed execution's partial trace is the last of
+    ``traces``.
+    """
+    engine = ExecutionEngine(concurrency_limit=concurrency, clock=clock, task_text=task)
+    run = TaskRun()
+
+    def execute(gamma: float | None = None) -> tuple[list[str], TopologyKind]:
+        decision = route(dag, router_config, gamma_override=gamma)
+        run.routes.append(decision)
+        trace = engine.run(dag, make_plan(dag, decision.topology, pool, context_budget=context_budget))
+        run.traces.append(trace)
+        texts = [o.text for o in trace.ordered_outputs()]
+        if "reconcile" in trace.lead:
+            texts.append(trace.lead["reconcile"].text)
+        return texts, decision.topology
+
+    try:
+        texts, topology = execute()
+        run.result = synthesize(
+            texts,
+            topology,
+            SynthesisConfig(theta_cs=theta_cs, gamma0=run.routes[0].gamma_used),
+            pool[0],
+            reroute=execute,
+            embedder=engine.embedder,
+            calls=run.synthesis_calls,
+        )
+    except ExecutionFailure as exc:
+        run.traces.append(exc.trace)  # the calls that did complete were paid for
+        run.failure = f"execute: failed vertices {sorted(exc.failed)}"
+    except SynthesisError as exc:
+        run.failure = f"synthesize: {exc}"
+    return run

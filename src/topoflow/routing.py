@@ -38,12 +38,7 @@ class TopologyKind(enum.Enum):
     HYBRID = "hybrid"
 
 
-TOPOLOGY_ORDER = (
-    TopologyKind.PARALLEL,
-    TopologyKind.SEQUENTIAL,
-    TopologyKind.HIERARCHICAL,
-    TopologyKind.HYBRID,
-)
+TOPOLOGY_ORDER = tuple(TopologyKind)
 
 
 class FiredRule(enum.Enum):

@@ -15,8 +15,12 @@ import os
 
 import pytest
 
+from topoflow import execution, routing
 from topoflow.archetypes import DagArchetype
+from topoflow.cli import main
 from topoflow.convergence import SimConfig
+
+from test_cli import write_manifest
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 PB_TRACE = os.path.join(PERFBENCH, "pb_trace.py")
@@ -76,3 +80,22 @@ def test_worker_call_binds(name, positional, keywords):
 
 def test_worker_calls_found():
     assert {name for name, _, _ in worker_calls()} == {"SimConfig", "DagArchetype"}
+
+
+def test_tracer_reaches_every_layer_of_an_exec(tmp_path, capsys):
+    # the scripted diamond routes three times; each route is planned and run
+    original_route = routing.route
+    tracer = pb_trace.Tracer()
+    tracer.install()
+    try:
+        assert main(["exec", write_manifest(tmp_path)]) == 0
+    finally:
+        tracer.restore()
+    totals = tracer.layer_totals()
+    calls = {name: totals.get(name, {"calls": 0})["calls"] for name in (
+        "routing.route", "execution.plan", "execution.run", "synthesis.synthesize", "cli.exec",
+    )}
+    assert calls == {
+        "routing.route": 3, "execution.plan": 3, "execution.run": 3, "synthesis.synthesize": 1, "cli.exec": 1,
+    }
+    assert execution.route is routing.route is original_route

@@ -813,6 +813,18 @@ MALFORMED_INPUTS = {
         3,
     ),
     "estimated-tokens-infinite": ("route-dag", _diamond_records(estimated_tokens=float("inf")), 3),
+    "canonical-weight-string": ("route-dag", {"vertices": [{"id": "a", "weight": "5"}], "edges": []}, 3),
+    "canonical-weight-bool": ("route-dag", {"vertices": [{"id": "a", "weight": True}], "edges": []}, 3),
+    "canonical-coupling-string": (
+        "route-dag",
+        {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b", "coupling": "0.3"}]},
+        3,
+    ),
+    "canonical-coupling-bool": (
+        "route-dag",
+        {"vertices": [{"id": "a"}, {"id": "b"}], "edges": [{"source": "a", "target": "b", "coupling": True}]},
+        3,
+    ),
     "canonical-weight-1e400": ("route-dag", b'{"vertices": [{"id": "a", "weight": 1e400}], "edges": []}', 3),
     "dag-int-past-digit-limit": ("route-dag", b'[{"id": "a", "estimated_tokens": 1' + b"0" * 4300 + b"}]", 3),
     "dag-not-utf8": ("route-dag", b'[{"id": "a", "description": "\xff"}]', 3),
@@ -856,6 +868,11 @@ MALFORMED_INPUTS = {
     "config-missing": ("route-config-missing", None, 2),
     "manifest-config-missing": ("exec-config-missing", None, 2),
     "manifest-pricing-missing": ("exec-pricing-missing", None, 2),
+    # file paths that name a directory
+    "config-a-directory": ("route-config-dir", None, 2),
+    "manifest-dag-a-directory": ("exec-dag-dir", None, 2),
+    "manifest-pricing-a-directory": ("exec-pricing-dir", None, 2),
+    "fixture-a-directory": ("exec-fixture-dir", None, 2),
 }
 ERR_PREFIX = {0: "warning: skipped 1 corrupt", 2: "usage error: ", 3: "data error: "}
 
@@ -882,6 +899,10 @@ def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
         "route-config-missing": lambda: ["route", diamond, "--config", str(tmp_path / "nope.json")],
         "exec-config-missing": lambda: ["exec", write_manifest(tmp_path, router_config="nope.json")],
         "exec-pricing-missing": lambda: ["exec", write_manifest(tmp_path, pricing="nope.json")],
+        "route-config-dir": lambda: ["route", diamond, "--config", str(tmp_path)],
+        "exec-dag-dir": lambda: ["exec", write_manifest(tmp_path, dag=str(tmp_path))],
+        "exec-pricing-dir": lambda: ["exec", write_manifest(tmp_path, pricing=".")],
+        "exec-fixture-dir": lambda: ["exec", write_manifest(tmp_path, backend="scripted:" + str(tmp_path))],
         "calibrate": lambda: ["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")],
         "report-logs": lambda: ["report", "--logs", str(tmp_path), "--out", str(tmp_path / "rep")],
     }[where]()

@@ -270,6 +270,26 @@ class TestSerialization:
         assert str(exc.value) == f"malformed canonical DAG document: {message}"
 
     @pytest.mark.parametrize(
+        "weight, coupling, message",
+        [
+            ("5", 0.3, "vertex 'a' has a weight that is not a number: '5'"),
+            (True, 0.3, "vertex 'a' has a weight that is not a number: True"),
+            (5, "0.3", "edge ('a', 'b') has a coupling that is not a number: '0.3'"),
+            (5, True, "edge ('a', 'b') has a coupling that is not a number: True"),
+        ],
+        ids=["weight-string", "weight-bool", "coupling-string", "coupling-bool"],
+    )
+    def test_number_fields_are_numbers(self, weight, coupling, message):
+        # the decomposer loader's estimated_tokens test: the exact type is int or float
+        doc = {
+            "vertices": [{"id": "a", "weight": weight}, {"id": "b"}],
+            "edges": [{"source": "a", "target": "b", "coupling": coupling}],
+        }
+        with pytest.raises(ParseError) as exc:
+            deserialize_dag(doc)
+        assert str(exc.value) == f"malformed canonical DAG document: {message}"
+
+    @pytest.mark.parametrize(
         "content",
         [b'{"a": "\xff"}', b'{"a": ', b"[" * 100_000 + b"]" * 100_000, b"1" * 4301],
         ids=["not-utf8", "not-json", "nested-too-deep", "int-past-digit-limit"],

@@ -12,8 +12,8 @@ import pytest
 
 from topoflow.backends import AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from topoflow.cli import main
-from topoflow import execution
-from topoflow.dag import Subtask
+from topoflow import execution, runlog
+from topoflow.dag import Subtask, load_dag
 from topoflow.execution import (
     ExecutionEngine,
     ExecutionFailure,
@@ -21,12 +21,13 @@ from topoflow.execution import (
     embedding_relevance,
     make_plan,
     merge_context,
+    run_task,
 )
 from topoflow.routing import TopologyKind, route
 from topoflow.runlog import read_jsonl
 
 from conftest import make_dag
-from test_cli import FIXTURES, write_manifest
+from test_cli import FIXTURES, fixture_entries, write_manifest
 
 PARALLEL = TopologyKind.PARALLEL
 SEQUENTIAL = TopologyKind.SEQUENTIAL
@@ -699,3 +700,68 @@ def test_schedule_pinned(case, diamond):
     assert bool(trace.failures) == bool(fail)
     record = json.dumps(trace.to_record(), sort_keys=True)
     assert hashlib.sha256(record.encode()).hexdigest() == SCHEDULE_DIGESTS[case]
+
+
+class TestRunTask:
+    """The adaptive pipeline in memory, on the diamond and its scripted
+    fixture, whose synthesis arbitrates and re-routes twice."""
+
+    @staticmethod
+    def run(backend=None, **kwargs):
+        dag = load_dag(os.path.join(FIXTURES, "diamond.json"))
+        return run_task(dag, [backend or ScriptedBackend(fixture_entries())], **kwargs)
+
+    def test_routes_executes_and_reroutes(self):
+        run = self.run(task="evaluate two options and recommend")
+        assert run.failure is None
+        assert len(run.routes) == len(run.traces) == 3
+        assert run.result.route_trail == tuple((d.gamma_used, d.topology) for d in run.routes)
+        assert [d.gamma_used for d in run.routes[1:]] == [0.7, 0.9]
+        assert [c.subtask_id for c in run.synthesis_calls] == ["arbiter"] * 3
+
+    def test_execution_failure_is_returned_with_the_partial_trace(self):
+        run = self.run(ScriptedBackend(fixture_entries(v1={"fail": True})))
+        assert run.failure == "execute: failed vertices ['v1']"
+        assert run.result is None and len(run.routes) == len(run.traces) == 1
+        assert list(run.traces[-1].failures) == ["v1"]
+        assert sorted(run.traces[-1].outputs) == ["v0", "v2"]
+
+    def test_synthesis_failure_after_a_reroute_keeps_the_paid_arbiter_call(self):
+        arbiter_calls = []
+
+        class ArbiterOnce(ScriptedBackend):
+            def invoke(self, instruction, context, *, tag=None):
+                if tag == "arbiter":
+                    arbiter_calls.append(tag)
+                    if len(arbiter_calls) == 2:
+                        raise BackendError("arbiter outage")
+                return super().invoke(instruction, context, tag=tag)
+
+        run = self.run(ArbiterOnce(fixture_entries()))
+        assert run.failure == "synthesize: arbiter agent failed: arbiter outage"
+        assert run.result is None and len(run.routes) == len(run.traces) == 2
+        assert [(c.subtask_id, c.completion_tokens) for c in run.synthesis_calls] == [("arbiter", 30)]
+
+    def test_writes_no_file(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(runlog, "atomic_write", lambda *args, **kwargs: writes.append(args))
+        monkeypatch.chdir(tmp_path)
+        assert self.run(MockBackend()).failure is None
+        assert self.run(ScriptedBackend(fixture_entries(v1={"fail": True}))).failure
+        assert writes == [] and os.listdir(tmp_path) == []
+
+    def test_readme_library_example_runs(self, capsys):
+        with open(os.path.join(FIXTURES, os.pardir, os.pardir, "README.md"), encoding="utf-8") as fh:
+            library = fh.read().split("\n## Library\n", 1)[1]
+        example = library.split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(compile(example, "README.md", "exec"), namespace)
+        run = namespace["run"]
+        assert run.failure is None and len(run.routes) == len(run.traces) == run.result.iterations
+        assert capsys.readouterr().out == f"{run.result.final_text} {namespace['ledger'].total_tokens}\n"
+
+    def test_engine_has_no_relevance_option(self):
+        engine = ExecutionEngine()
+        assert engine.relevance("a b", "a b") == pytest.approx(1.0)
+        with pytest.raises(TypeError):
+            ExecutionEngine(relevance=lambda text, target: 0.0)
