@@ -19,7 +19,6 @@ from .convergence import (
     model_variance_bound,
     oracle_route,
     simulate_variance,
-    topology_quality_gap,
     variance_ratio_bound,
 )
 from .dag import (

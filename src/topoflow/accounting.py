@@ -169,24 +169,22 @@ class RunReport:
 
 
 def topology_distribution(
-    reports: list[RunReport], grouping: list[str]
+    topologies: list[TopologyKind], grouping: list[str]
 ) -> dict[str, dict[TopologyKind, float]]:
-    """Per-group percentage of runs routed to each topology, plus an
-    'Average' row over groups.  Rows sum to 100 within rounding."""
-    if not reports:
-        raise ValueError("reports must be nonempty")
-    if len(reports) != len(grouping):
-        raise ValueError("grouping must parallel reports")
-    groups: dict[str, list[RunReport]] = {}
-    for rep, grp in zip(reports, grouping):
-        groups.setdefault(grp, []).append(rep)
+    """Per-group percentage of runs routed to each topology, given each
+    run's topology and group, plus an 'Average' row over groups.  Rows sum
+    to 100 within rounding."""
+    if not topologies:
+        raise ValueError("topologies must be nonempty")
+    if len(topologies) != len(grouping):
+        raise ValueError("grouping must parallel topologies")
+    groups: dict[str, list[TopologyKind]] = {}
+    for topology, grp in zip(topologies, grouping):
+        groups.setdefault(grp, []).append(topology)
     table: dict[str, dict[TopologyKind, float]] = {}
     for grp in sorted(groups):
         runs = groups[grp]
-        table[grp] = {
-            k: 100.0 * sum(1 for r in runs if r.topology is k) / len(runs)
-            for k in TOPOLOGY_ORDER
-        }
+        table[grp] = {k: 100.0 * runs.count(k) / len(runs) for k in TOPOLOGY_ORDER}
     table["Average"] = {
         k: sum(row[k] for g, row in table.items() if g != "Average") / len(groups)
         for k in TOPOLOGY_ORDER

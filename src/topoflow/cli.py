@@ -151,6 +151,8 @@ def cmd_exec(args) -> int:
     if not os.path.isfile(dag_path):
         raise UsageError(f"dag file not found or not a file: {dag_path}")
     dag = load_dag(dag_path)
+    if not dag.vertices:
+        raise DagError(f"{dag_path}: a DAG to execute needs at least one subtask")
     config = _load_router_config(
         resolve(manifest["router_config"]) if manifest.get("router_config") else None
     )
@@ -173,7 +175,7 @@ def cmd_exec(args) -> int:
         dag,
         pool,
         router_config=config,
-        task=manifest.get("task", ""),
+        task=manifest.get("task") or "",
         concurrency=concurrency,
         context_budget=budget,
         theta_cs=theta_cs,
@@ -216,9 +218,7 @@ def cmd_exec(args) -> int:
 
 def cmd_ratio(args) -> int:
     try:
-        params = ConvergenceParams(
-            epsilon=args.eps, omega=args.omega, gamma=args.gamma, k=args.k, c_tau=args.c_tau
-        )
+        params = ConvergenceParams(epsilon=args.eps, omega=args.omega, gamma=args.gamma, k=args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
@@ -275,9 +275,7 @@ def cmd_calibrate(args) -> int:
         if not files:
             raise UsageError(f"no task files in {args.tasks}")
         tasks = [calibration_task(load_json(f)) for f in files]
-    ids = [str(i) for i in range(len(tasks))]
-    dev_ids, test_ids = split_dev_test(ids, args.fraction, args.seed)
-    dev = [tasks[int(i)] for i in dev_ids]
+    dev, test = split_dev_test(tasks, args.fraction, args.seed)
     chosen, table = calibrate_gamma(dev, grid=grid)
     os.makedirs(args.out, exist_ok=True)
     runlog.write_csv(
@@ -287,7 +285,7 @@ def cmd_calibrate(args) -> int:
     )
     frozen = RouterConfig(theta_gamma=chosen)
     runlog.write_json(os.path.join(args.out, "frozen_config.json"), frozen.to_dict())
-    print(f"dev/test split: {len(dev_ids)}/{len(test_ids)}")
+    print(f"dev/test split: {len(dev)}/{len(test)}")
     print(f"chosen theta_gamma: {chosen}")
     return EXIT_OK
 
@@ -333,18 +331,9 @@ def cmd_report(args) -> int:
         raise UsageError("no run records found in logs")
     os.makedirs(args.out, exist_ok=True)
 
-    reports = [
-        RunReport(
-            total_tokens=r.get("total_tokens", 0),
-            cost_microdollars=r.get("cost_microdollars", 0),
-            wall_clock=r.get("wall_clock", 0.0),
-            topology=TopologyKind(r["topology"]),
-            iterations=r.get("iterations", 1),
-        )
-        for r in runs
-    ]
-    grouping = [r.get("group", "all") for r in runs]
-    table = topology_distribution(reports, grouping)
+    table = topology_distribution(
+        [TopologyKind(r["topology"]) for r in runs], [r.get("group", "all") for r in runs]
+    )
     text = format_distribution(table)
     runlog.atomic_write(os.path.join(args.out, "topology_distribution.txt"), text + "\n")
     runlog.write_csv(
@@ -357,8 +346,9 @@ def cmd_report(args) -> int:
     )
 
     hist: dict[int, int] = {}
-    for rep in reports:
-        hist[rep.iterations] = hist.get(rep.iterations, 0) + 1
+    for r in runs:
+        it = r.get("iterations", 1)
+        hist[it] = hist.get(it, 0) + 1
     runlog.write_csv(
         os.path.join(args.out, "iteration_histogram.csv"),
         ["iterations", "count"],
@@ -406,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--c-tau", type=float, default=convergence.DEFAULT_C_TAU, dest="c_tau")
     p.set_defaults(func=cmd_ratio)
 
     p = sub.add_parser("simulate", help="Monte-Carlo variance simulation on an archetype")

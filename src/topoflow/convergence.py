@@ -48,7 +48,6 @@ class ConvergenceParams:
     omega: float
     gamma: float
     k: int
-    c_tau: float = DEFAULT_C_TAU
 
     def __post_init__(self):
         # a NaN passes any `x < bound` test, so each check is written to fail it
@@ -60,12 +59,15 @@ class ConvergenceParams:
             raise ValueError(f"gamma {self.gamma} out of [0, 1]")
         if self.k < 1:
             raise ValueError(f"k {self.k} must be a positive integer")
-        if not (math.isfinite(self.c_tau) and self.c_tau > 0):
-            raise ValueError(f"c_tau {self.c_tau} must be finite and positive")
 
 
 def variance_ratio_bound(p: ConvergenceParams) -> float:
-    """Lower bound on Var_topology / Var_model for an epsilon-convergent pool."""
+    """Lower bound on Var_topology / Var_model for an epsilon-convergent pool.
+
+    It is the squared quality gap c_tau * (omega-1) * (1-gamma) over
+    epsilon^2 * k, with c_tau at the quality model's ``DEFAULT_C_TAU`` of 1/2:
+    the 4 is 1 / c_tau^2, so the bound takes no c_tau.
+    """
     if p.epsilon == 0:
         raise BoundDiverges("variance ratio diverges as epsilon -> 0")
     return _ratio_bound(p.epsilon, p.omega, p.gamma, p.k)
@@ -90,11 +92,6 @@ def model_variance_bound(epsilon: float) -> float:
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     return epsilon**2
-
-
-def topology_quality_gap(p: ConvergenceParams) -> float:
-    """Modeled parallel-vs-sequential quality gap: c_tau * (omega-1) * (1-gamma)."""
-    return p.c_tau * (p.omega - 1) * (1 - p.gamma)
 
 
 def assumption_one_qualities(
@@ -280,9 +277,7 @@ def simulate_variance(cfg: SimConfig) -> SimResult:
     """
     shape = generate_archetype(replace(cfg.archetype, seed=cfg.seed * 1_000_003), uniform_weights=True)
     metrics = compute_metrics(shape, mode=WidthMode.EXACT)
-    # the bound's checks, once: gamma is a mean of levels in [0, 1]
-    p = ConvergenceParams(epsilon=cfg.epsilon, omega=metrics.width_exact, gamma=0.0, k=metrics.vertex_count)
-    epsilon, omega, k = p.epsilon, p.omega, p.k
+    epsilon, omega, k = cfg.epsilon, metrics.width_exact, metrics.vertex_count
     stage_factor = _stage_factor(metrics.depth, shape)
     rows: list[dict] = []
     var_m_sum = var_t_sum = bound_sum = omega_sum = gamma_sum = 0.0

@@ -64,12 +64,12 @@ class DagIndex(NamedTuple):
     """A valid DAG indexed by position in one topological order.
 
     The order is Kahn's, with ties broken by sorted id.  Successor and
-    predecessor positions are listed in edge order.  A vertex's level is its
-    longest-path depth (sources are 1), taken in the Kahn pass; ``layers``
-    holds the ids of each level, sorted, sources first; each layer is an
-    antichain.  Every caller shares one index and must not change it.  Its
-    fields are plain lists and dicts: tuple copies made it about a third
-    slower to build on the small DAGs that simulation builds by the thousand.
+    predecessor positions are listed in edge order.  ``layers`` holds the ids
+    of each level (a vertex's longest-path depth, taken in the Kahn pass),
+    sorted, sources first; each layer is an antichain.  Every caller shares
+    one index and must not change it.  Its fields are plain lists and dicts:
+    tuple copies made it about a third slower to build on the small DAGs
+    that simulation builds by the thousand.
     """
 
     order: list[str]
@@ -77,7 +77,6 @@ class DagIndex(NamedTuple):
     subtasks: dict[str, Subtask]
     succ: list[list[int]]
     pred: list[list[int]]
-    level: list[int]
     layers: list[list[str]]
 
 
@@ -235,7 +234,7 @@ def _build_index(dag: TaskDag, order: list[str], level: list[int]) -> DagIndex:
     for layer in layers:
         layer.sort()
     subtasks = {v.id: v for v in dag.vertices}
-    return DagIndex(order, position, subtasks, succ, pred, level, layers)
+    return DagIndex(order, position, subtasks, succ, pred, layers)
 
 
 def _find_cycle(ids: list[str], adj: list[list[int]]) -> list[str]:

@@ -26,7 +26,6 @@ from .metrics import DagMetrics, WidthMode, compute_metrics
 DEFAULT_THETA_OMEGA = 0.5
 DEFAULT_THETA_GAMMA = 0.6
 DEFAULT_THETA_DELTA = 5
-GAMMA_TIEBREAK = 0.6
 
 CALIBRATION_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
@@ -159,17 +158,16 @@ def route(
     )
 
 
-def split_dev_test(
-    task_ids: list[str], fraction: float, seed: int
-) -> tuple[list[str], list[str]]:
-    """Seeded split: ceil(fraction * n) ids become dev, the rest test."""
+def split_dev_test(tasks: list, fraction: float, seed: int) -> tuple[list, list]:
+    """Seeded split by position: ceil(fraction * n) tasks become dev, the
+    rest test, each in the given order."""
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction {fraction} out of (0, 1)")
-    n_dev = math.ceil(fraction * len(task_ids))
+    n_dev = math.ceil(fraction * len(tasks))
     rng = random.Random(seed)
-    dev_ix = set(rng.sample(range(len(task_ids)), n_dev))
-    dev = [tid for i, tid in enumerate(task_ids) if i in dev_ix]
-    test = [tid for i, tid in enumerate(task_ids) if i not in dev_ix]
+    dev_ix = set(rng.sample(range(len(tasks)), n_dev))
+    dev = [task for i, task in enumerate(tasks) if i in dev_ix]
+    test = [task for i, task in enumerate(tasks) if i not in dev_ix]
     return dev, test
 
 
@@ -197,8 +195,8 @@ def calibrate_gamma(
     """Grid-search theta_gamma on dev tasks with per-topology quality scores.
 
     Each candidate routes every dev task and averages the quality of the
-    routed topology.  Ties break toward the 0.6 default, then the larger
-    candidate.
+    routed topology.  Ties break toward ``DEFAULT_THETA_GAMMA``, then the
+    larger candidate.
     """
     if not dev_tasks:
         raise ValueError("dev_tasks must be nonempty")
@@ -213,7 +211,7 @@ def calibrate_gamma(
         table[candidate] = total / len(dev_tasks)
 
     def rank(candidate: float) -> tuple[float, int, float]:
-        return (table[candidate], 1 if candidate == GAMMA_TIEBREAK else 0, candidate)
+        return (table[candidate], 1 if candidate == DEFAULT_THETA_GAMMA else 0, candidate)
 
     chosen = max(grid, key=rank)
     return chosen, table

@@ -158,7 +158,7 @@ def oracle_build_index(dag):
         layers[lv - 1].append(vid)
     for layer in layers:
         layer.sort()
-    return DagIndex(order, position, subtasks, succ, pred, level, layers)
+    return DagIndex(order, position, subtasks, succ, pred, layers)
 
 
 def oracle_validate_dag(dag):

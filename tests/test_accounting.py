@@ -114,24 +114,24 @@ def report(topology):
 
 class TestTopologyDistribution:
     def test_rows_sum_to_100(self):
-        reports = [
-            report(TopologyKind.PARALLEL), report(TopologyKind.PARALLEL),
-            report(TopologyKind.SEQUENTIAL), report(TopologyKind.HYBRID),
+        topologies = [
+            TopologyKind.PARALLEL, TopologyKind.PARALLEL,
+            TopologyKind.SEQUENTIAL, TopologyKind.HYBRID,
         ]
-        table = topology_distribution(reports, ["code", "code", "code", "qa"])
+        table = topology_distribution(topologies, ["code", "code", "code", "qa"])
         assert sum(table["code"].values()) == pytest.approx(100.0)
         assert sum(table["qa"].values()) == pytest.approx(100.0)
         assert table["code"][TopologyKind.PARALLEL] == pytest.approx(200 / 3)
         assert table["qa"][TopologyKind.HYBRID] == 100.0
 
     def test_average_row(self):
-        reports = [report(TopologyKind.PARALLEL), report(TopologyKind.HYBRID)]
-        table = topology_distribution(reports, ["a", "b"])
+        topologies = [TopologyKind.PARALLEL, TopologyKind.HYBRID]
+        table = topology_distribution(topologies, ["a", "b"])
         assert table["Average"][TopologyKind.PARALLEL] == 50.0
         assert table["Average"][TopologyKind.HYBRID] == 50.0
 
     def test_formatting(self):
-        table = topology_distribution([report(TopologyKind.PARALLEL)], ["a"])
+        table = topology_distribution([TopologyKind.PARALLEL], ["a"])
         text = format_distribution(table)
         assert "parallel" in text and "Average" in text
 
@@ -139,7 +139,7 @@ class TestTopologyDistribution:
         with pytest.raises(ValueError):
             topology_distribution([], [])
         with pytest.raises(ValueError):
-            topology_distribution([report(TopologyKind.PARALLEL)], [])
+            topology_distribution([TopologyKind.PARALLEL], [])
 
 
 class TestRunReport:

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import socket
 import subprocess
@@ -102,6 +104,14 @@ class TestRoute:
         ]))
         assert main(["route", str(cyc)]) == 3
 
+    @pytest.mark.parametrize("doc", [[], {"vertices": [], "edges": []}])
+    def test_route_empty_dag(self, doc, tmp_path, capsys):
+        # exec refuses a DAG with no subtasks; route still routes it
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        assert main(["route", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("topology: parallel\nfired rule: empty_edge_set\n")
+
 
 class TestExec:
     def test_exec_writes_artifacts(self, tmp_path, capsys):
@@ -126,6 +136,20 @@ class TestExec:
             a = (tmp_path / "o1" / name).read_bytes()
             b = (tmp_path / "o2" / name).read_bytes()
             assert a == b, f"{name} differs between reruns"
+
+    def test_null_task_is_no_task(self, tmp_path, capsys):
+        # "task": null runs as a manifest without a task, not with the text "None"
+        written = []
+        for i, task in enumerate(({}, {"task": None})):
+            out = tmp_path / f"o{i}"
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps({
+                "dag": os.path.join(FIXTURES, "diamond.json"), "backend": "mock", "output_dir": str(out), **task,
+            }))
+            assert main(["exec", str(manifest)]) == 0
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert sorted(written[0]) == ["ledger.json", "report.json", "run.log.jsonl", "trace.json"]
+        assert written[0] == written[1]
 
     def test_exec_mock_backend(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, backend="mock")
@@ -507,12 +531,19 @@ class TestRatio:
         assert capsys.readouterr().out.strip() == "inf"
 
     @pytest.mark.parametrize(
-        "flag, value", [("--omega", "nan"), ("--eps", "nan"), ("--c-tau", "nan"), ("--c-tau", "inf")]
+        "flag, value", [("--omega", "nan"), ("--eps", "nan")]
     )
     def test_non_finite_usage_error(self, flag, value, capsys):
         argv = {"--omega": "3", "--gamma": "0.4", "--k": "6", "--eps": "0.05", flag: value}
         rc = main(["ratio", *(x for item in argv.items() for x in item)])
         assert rc == 2
+        assert capsys.readouterr().out == ""
+
+    def test_c_tau_is_not_an_option(self, capsys):
+        # the bound fixes c_tau at the quality model's 1/2
+        with pytest.raises(SystemExit) as exc:
+            main(["ratio", "--omega", "4", "--gamma", "0.2", "--k", "5", "--eps", "0.05", "--c-tau", "0.5"])
+        assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
 
@@ -800,6 +831,8 @@ MALFORMED_INPUTS = {
     "pricing-row-no-output": ("exec-pricing", {**_PRICING, "rates": {"scripted": {"input_per_1m": "0"}}}, 2),
     "manifest-backend-not-string": ("exec-fields", {"backend": 5}, 2),
     "manifest-dag-not-string": ("exec-fields", {"dag": None}, 2),
+    "dag-no-subtasks": ("exec-dag", [], 3),
+    "canonical-dag-no-vertices": ("exec-dag", {"vertices": [], "edges": []}, 3),
     "manifest-not-object": ("exec-manifest", ["dag.json"], 2),
     "task-no-dag": ("calibrate", {"scores": _TASK_SCORES}, 3),
     "task-no-scores": ("calibrate", {"dag": _diamond_records()}, 3),
@@ -911,3 +944,21 @@ def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
     assert err.startswith(ERR_PREFIX[code])
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "cal").exists()
+
+
+def test_readme_cli_block_names_every_flag():
+    # each subcommand's lines in README's CLI block, together, name exactly its flags
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("topoflow "):
+            command = line.split()[1]
+            documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line.split("#")[0]))
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        command: {s for a in sub._actions for s in a.option_strings if s.startswith("--") and s != "--help"}
+        for command, sub in subparsers.choices.items()
+    }
+    assert documented == flags

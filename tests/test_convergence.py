@@ -23,7 +23,6 @@ from topoflow.convergence import (
     model_variance_bound,
     oracle_route,
     simulate_variance,
-    topology_quality_gap,
     variance_ratio_bound,
 )
 from topoflow.metrics import WidthMode, compute_metrics
@@ -86,8 +85,6 @@ class TestVarianceRatioBound:
             {"epsilon": math.inf, "omega": 2, "gamma": 0.5, "k": 3},
             {"epsilon": 0.1, "omega": math.nan, "gamma": 0.5, "k": 3},
             {"epsilon": 0.1, "omega": math.inf, "gamma": 0.5, "k": 3},
-            {"epsilon": 0.1, "omega": 2, "gamma": 0.5, "k": 3, "c_tau": math.nan},
-            {"epsilon": 0.1, "omega": 2, "gamma": 0.5, "k": 3, "c_tau": math.inf},
         ],
     )
     def test_param_validation(self, kwargs):
@@ -98,10 +95,6 @@ class TestVarianceRatioBound:
         assert model_variance_bound(0.05) == pytest.approx(0.0025)
         with pytest.raises(ValueError):
             model_variance_bound(-1)
-
-    def test_gap(self):
-        p = ConvergenceParams(epsilon=0.05, omega=3, gamma=0.4, k=5)
-        assert topology_quality_gap(p) == pytest.approx(0.5 * 2 * 0.6)
 
 
 class TestQualityModel:
@@ -299,7 +292,7 @@ class TestSimulation:
         )
         cfg = SimConfig(archetype=DagArchetype(ArchetypeKind.DIAMOND, 6), epsilon=0.05, trials=50)
         assert len(simulate_variance(cfg).rows) == 50
-        assert len(params) <= 1
+        assert params == []  # nothing of the bound's checks can fail here
         assert qualities == []
 
     @settings(max_examples=150, deadline=None)
