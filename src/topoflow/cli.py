@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Callable
 
-from . import convergence, execution, routing, runlog, synthesis
+from . import convergence, routing, runlog
 from .accounting import (
     CostLedger,
     Phase,
@@ -33,7 +33,7 @@ from .convergence import (
     variance_ratio_bound,
 )
 from .dag import DagError, ParseError, ValidationError, load_dag, load_json
-from .execution import ExecutionFailure, run_task
+from .execution import run_task
 from .routing import (
     RouterConfig,
     RoutingDecision,
@@ -43,7 +43,6 @@ from .routing import (
     route,
     split_dev_test,
 )
-from .synthesis import SynthesisError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,20 +55,21 @@ class UsageError(Exception):
     pass
 
 
+def _input_file(path: str, what: str) -> str:
+    """``path``, if it names a regular file; else a usage error naming a ``what``."""
+    if not os.path.isfile(path):
+        raise UsageError(f"{what} not found or not a file: {path}")
+    return path
+
+
 def _load_config(path: str, parse: Callable, what: str):
     """``parse`` of the JSON file at ``path``, a ``what``; a missing file, or a
     document that ``parse`` rejects with ``ValueError``, is a usage error."""
-    if not os.path.isfile(path):
-        raise UsageError(f"{what} not found or not a file: {path}")
-    doc = load_json(path)
+    doc = load_json(_input_file(path, what))
     try:
         return parse(doc)
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from exc
-
-
-def _load_router_config(path: str | None) -> RouterConfig:
-    return RouterConfig() if path is None else _load_config(path, RouterConfig.from_dict, "router config")
 
 
 def _print_decision(decision: RoutingDecision) -> None:
@@ -87,7 +87,7 @@ def _print_decision(decision: RoutingDecision) -> None:
 
 def cmd_route(args) -> int:
     dag = load_dag(args.dag)
-    config = _load_router_config(args.config)
+    config = None if args.config is None else _load_config(args.config, RouterConfig.from_dict, "router config")
     decision = route(dag, config)
     _print_decision(decision)
     if args.log:
@@ -96,28 +96,29 @@ def cmd_route(args) -> int:
     return EXIT_OK
 
 
-def _make_pool(spec: str, base_dir: str) -> list[AgentBackend]:
+def _make_pool(spec: str, resolve: Callable[[str], str]) -> list[AgentBackend]:
     if spec == "mock":
         return [MockBackend(f"mock{i}") for i in range(3)]
     if spec.startswith("scripted:"):
-        path = spec.split(":", 1)[1]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        if not os.path.isfile(path):
-            raise UsageError(f"scripted fixture not found or not a file: {path}")
-        return [ScriptedBackend.from_file(path)]
+        return [ScriptedBackend.from_file(_input_file(resolve(spec.split(":", 1)[1]), "scripted fixture"))]
     if ":" in spec:
         provider, model = spec.split(":", 1)
         return [HttpChatBackend(provider, model)]
     raise UsageError(f"unknown backend mode {spec!r}")
 
 
-def _manifest_field(manifest: dict, key: str, default, valid: Callable[[object], bool], expected: str):
-    """``manifest[key]`` (or ``default``) if ``valid`` accepts it; a bool never passes."""
-    value = manifest.get(key, default)
-    if isinstance(value, bool) or not valid(value):
-        raise UsageError(f"manifest field {key!r} must be {expected}, got {value!r}")
-    return value
+# a run manifest's fields, in the order they are checked: the test each value
+# must pass, and what it must be
+_REQUIRED_FIELDS = ("dag", "backend", "output_dir")
+_MANIFEST_FIELDS = {
+    **dict.fromkeys(_REQUIRED_FIELDS, (lambda v: type(v) is str, "a string")),
+    **dict.fromkeys(
+        ("router_config", "pricing", "task"), (lambda v: v is None or type(v) is str, "a string or null")
+    ),
+    "concurrency": (lambda v: type(v) is int and v >= 1, "an integer of at least 1"),
+    "context_budget": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "theta_cs": (lambda v: type(v) in (int, float) and 0 <= v <= 1, "a number in [0, 1]"),
+}
 
 
 def cmd_exec(args) -> int:
@@ -127,42 +128,29 @@ def cmd_exec(args) -> int:
     def resolve(p: str) -> str:
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
+    def load(key: str, parse: Callable, what: str):
+        """``parse`` of the file that ``manifest[key]`` names, or ``None`` if it names none."""
+        return _load_config(resolve(manifest[key]), parse, what) if manifest.get(key) else None
+
     if not isinstance(manifest, dict):
         raise UsageError("manifest must be a JSON object")
-    for key in ("dag", "backend", "output_dir"):
+    for key, (valid, expected) in _MANIFEST_FIELDS.items():
         if key not in manifest:
-            raise UsageError(f"manifest missing field {key!r}")
-        _manifest_field(manifest, key, None, lambda v: isinstance(v, str), "a string")
-    for key in ("router_config", "pricing", "task"):
-        _manifest_field(manifest, key, None, lambda v: v is None or isinstance(v, str), "a string or null")
-    concurrency = _manifest_field(
-        manifest, "concurrency", execution.DEFAULT_CONCURRENCY,
-        lambda v: isinstance(v, int) and v >= 1, "an integer of at least 1",
-    )
-    budget = _manifest_field(
-        manifest, "context_budget", execution.DEFAULT_CONTEXT_BUDGET,
-        lambda v: isinstance(v, int) and v > 0, "a positive integer",
-    )
-    theta_cs = float(_manifest_field(
-        manifest, "theta_cs", synthesis.DEFAULT_THETA_CS,
-        lambda v: isinstance(v, (int, float)) and 0 <= v <= 1, "a number in [0, 1]",
-    ))
-    dag_path = resolve(manifest["dag"])
-    if not os.path.isfile(dag_path):
-        raise UsageError(f"dag file not found or not a file: {dag_path}")
+            if key in _REQUIRED_FIELDS:
+                raise UsageError(f"manifest missing field {key!r}")
+        elif not valid(manifest[key]):
+            raise UsageError(f"manifest field {key!r} must be {expected}, got {manifest[key]!r}")
+    unknown = sorted(set(manifest) - set(_MANIFEST_FIELDS))
+    if unknown:
+        raise UsageError(f"unknown manifest key(s): {', '.join(unknown)}")
+    dag_path = _input_file(resolve(manifest["dag"]), "dag file")
     dag = load_dag(dag_path)
     if not dag.vertices:
         raise DagError(f"{dag_path}: a DAG to execute needs at least one subtask")
-    config = _load_router_config(
-        resolve(manifest["router_config"]) if manifest.get("router_config") else None
-    )
-    pool = _make_pool(manifest["backend"], base_dir)
+    config = load("router_config", RouterConfig.from_dict, "router config")
+    pool = _make_pool(manifest["backend"], resolve)
     offline = manifest["backend"] == "mock" or manifest["backend"].startswith("scripted:")
-    ledger = CostLedger(
-        pricing=_load_config(resolve(manifest["pricing"]), PricingTable.from_dict, "pricing file")
-        if manifest.get("pricing")
-        else PricingTable.default()
-    )
+    ledger = CostLedger(load("pricing", PricingTable.from_dict, "pricing file") or PricingTable.default())
     for backend in pool:  # an unpriced backend would lose the ledger of every paid call
         try:
             ledger.pricing.rate_for(backend.identity)
@@ -176,10 +164,8 @@ def cmd_exec(args) -> int:
         pool,
         router_config=config,
         task=manifest.get("task") or "",
-        concurrency=concurrency,
-        context_budget=budget,
-        theta_cs=theta_cs,
         clock="virtual" if offline else "wall",
+        **{key: manifest[key] for key in ("concurrency", "context_budget", "theta_cs") if key in manifest},
     )
     for trace in run.traces:
         for out in [*trace.ordered_outputs(), *trace.lead.values()]:
@@ -435,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, DagError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (BackendError, ExecutionFailure, SynthesisError) as exc:
+    except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (OSError, ValueError) as exc:

@@ -16,6 +16,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .backends import AgentBackend, AgentOutput, BackendError
@@ -27,7 +29,7 @@ from .synthesis import cosine  # noqa: F401  (perfbench's self-test patches this
 
 DEFAULT_CONCURRENCY = 8
 DEFAULT_CONTEXT_BUDGET = 4000
-RETRIES = 2  # transient-failure retries per vertex or lead call
+RETRIES = 2  # transient-failure retries per agent call: vertex, lead, merge or arbiter
 BACKOFF_BASE = 0.5
 
 LEAD_ASSIGN_PREFIX = _template("lead_assign.txt")
@@ -372,7 +374,8 @@ def run_task(
     """Route ``dag``, execute it on ``pool``, synthesize the outputs with the
     pool's first backend, and re-route at a higher γ while synthesis asks to.
 
-    Context merging and synthesis share the engine's embedder.  A failed
+    Context merging and synthesis share the engine's embedder, and merge and
+    arbiter calls get the engine's transient-failure retry.  A failed
     execution or synthesis call ends the run without raising: ``failure``
     says why, and a failed execution's partial trace is the last of
     ``traces``.
@@ -396,7 +399,7 @@ def run_task(
             texts,
             topology,
             SynthesisConfig(theta_cs=theta_cs, gamma0=run.routes[0].gamma_used),
-            pool[0],
+            SimpleNamespace(invoke=partial(engine._invoke_with_retry, pool[0])),  # pool[0] behind the retry
             reroute=execute,
             embedder=engine.embedder,
             calls=run.synthesis_calls,

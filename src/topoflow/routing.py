@@ -20,7 +20,7 @@ import random
 import time
 from dataclasses import dataclass, fields
 
-from .dag import ParseError, TaskDag, ingest
+from .dag import _NUMBER_TYPES, ParseError, TaskDag, ingest
 from .metrics import DagMetrics, WidthMode, compute_metrics
 
 DEFAULT_THETA_OMEGA = 0.5
@@ -173,14 +173,18 @@ def split_dev_test(tasks: list, fraction: float, seed: int) -> tuple[list, list]
 
 def calibration_task(doc) -> tuple[TaskDag, dict[TopologyKind, float]]:
     """A calibration task from its JSON document: a ``dag`` in either
-    ingestible form and a ``scores`` object with a quality for every topology.
-    Raises :class:`ParseError` when the document is malformed."""
+    ingestible form and a ``scores`` object with a finite number for every
+    topology.  Raises :class:`ParseError` when the document is malformed."""
     if not isinstance(doc, dict) or "dag" not in doc or not isinstance(doc.get("scores"), dict):
         raise ParseError("a calibration task needs a 'dag' and a 'scores' object")
     dag = ingest(doc["dag"])
+    scores = {}
     try:
-        scores = {TopologyKind(k): float(v) for k, v in doc["scores"].items()}
-    except (TypeError, ValueError) as exc:
+        for k, v in doc["scores"].items():
+            if type(v) not in _NUMBER_TYPES or not math.isfinite(v):  # an int past the float range overflows
+                raise ValueError(f"{k!r} score {v!r} is not a finite number")
+            scores[TopologyKind(k)] = float(v)
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"bad calibration score: {exc}") from exc
     missing = [k.value for k in TopologyKind if k not in scores]
     if missing:

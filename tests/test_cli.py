@@ -112,6 +112,17 @@ class TestRoute:
         assert main(["route", str(path)]) == 0
         assert capsys.readouterr().out.startswith("topology: parallel\nfired rule: empty_edge_set\n")
 
+    def test_route_empty_config_path_is_a_usage_error(self, capsys):
+        # an empty --config names no file; it does not mean the default config
+        assert main(["route", os.path.join(FIXTURES, "diamond.json"), "--config", ""]) == 2
+        assert capsys.readouterr().err == "usage error: router config not found or not a file: \n"
+
+    def test_route_empty_dag_exact_width(self, tmp_path, capsys):
+        (tmp_path / "empty.json").write_text("[]")
+        (tmp_path / "config.json").write_text(json.dumps({"width_mode": "exact"}))
+        assert main(["route", str(tmp_path / "empty.json"), "--config", str(tmp_path / "config.json")]) == 0
+        assert "metrics: omega_exact=0 omega_approx=0 " in capsys.readouterr().out
+
 
 class TestExec:
     def test_exec_writes_artifacts(self, tmp_path, capsys):
@@ -164,6 +175,39 @@ class TestExec:
         manifest = write_manifest(tmp_path, dag=str(tmp_path / "absent.json"))
         assert main(["exec", manifest]) == 2
 
+    @pytest.mark.parametrize("theta_cs", [0, 1])
+    def test_integer_theta_cs_is_the_same_run(self, theta_cs, tmp_path, capsys):
+        # run_task compares consistencies with an int threshold as with its float
+        written = []
+        for value in (theta_cs, float(theta_cs)):
+            out = tmp_path / f"o{len(written)}"
+            assert main(["exec", write_manifest(tmp_path, theta_cs=value, output_dir=str(out))]) == 0
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(written[0]) == 4 and written[0] == written[1]
+
+    def test_relative_fixture_path_resolves_against_the_manifest(self, tmp_path, capsys, monkeypatch):
+        # the same run, once with the fixture's absolute path and once with
+        # its name beside the manifest, from a working directory without it
+        written = []
+        for backend in ("scripted:" + write_fixture(tmp_path), "scripted:fixture.json"):
+            out = tmp_path / f"o{len(written)}"
+            manifest = write_manifest(tmp_path, backend=backend, output_dir=str(out))
+            monkeypatch.chdir(tmp_path.parent)
+            assert main(["exec", manifest]) == 0
+            written.append({f.name: f.read_bytes() for f in out.iterdir()})
+        assert len(written[0]) == 4 and written[0] == written[1]
+
+    def test_unset_api_key_exits_4_without_a_connection(self, tmp_path, capsys, monkeypatch):
+        def no_connection(*args, **kwargs):
+            raise AssertionError("a connection was opened")
+
+        monkeypatch.setattr(socket, "create_connection", no_connection)
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        assert main(["exec", write_manifest(tmp_path, backend="openai:gpt-4o-mini")]) == 4
+        trace = json.loads((tmp_path / "out" / "trace.json").read_text())
+        assert set(trace["failures"].values()) == {"missing API key: set OPENAI_API_KEY"}
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("theta_cs", 1.5), ("concurrency", 0), ("context_budget", 0),
         ("concurrency", "8"), ("context_budget", 2.5), ("theta_cs", True),
@@ -187,7 +231,7 @@ class TestExec:
             raise AssertionError("a connection was opened")
 
         monkeypatch.setattr(socket, "create_connection", no_connection)
-        pool = _make_pool("openai:gpt-4o-mini", str(tmp_path))
+        pool = _make_pool("openai:gpt-4o-mini", lambda path: os.path.join(str(tmp_path), path))
         assert [type(b) for b in pool] == [HttpChatBackend]
         assert pool[0].identity == "openai:gpt-4o-mini"
         assert getattr(pool[0]._local, "conn", None) is None
@@ -298,6 +342,26 @@ class TestExec:
         assert [e["phase"] for e in ledger["entries"]] == ["execute"] * 12 + ["synthesize"] * 3
         assert report["iterations"] == 3
         assert report["wall_clock"] == records[-1]["wall_clock"] == pytest.approx(3 * 0.3 + 3 * 0.1)
+
+    @pytest.mark.parametrize("role", ["arbiter", "merge"])
+    def test_a_transient_synthesis_failure_is_retried(self, role, tmp_path, capsys):
+        # the diamond arbitrates; with every output the same it merges instead
+        base = fixture_entries() if role == "arbiter" else {
+            "default": {"text": "the same answer", "prompt_tokens": 10, "completion_tokens": 4, "latency": 0.1},
+            "merge": {"text": "merged", "prompt_tokens": 20, "completion_tokens": 2, "latency": 0.1},
+        }
+        written = []
+        for fail_times in (0, 1):
+            fixture = tmp_path / f"fixture{fail_times}.json"
+            fixture.write_text(json.dumps({**base, role: {**base[role], "fail_times": fail_times}}))
+            out = tmp_path / f"o{fail_times}"
+            assert main(["exec", write_manifest(tmp_path, backend=f"scripted:{fixture}", output_dir=str(out))]) == 0
+            written.append({name: json.loads((out / name).read_text()) for name in ("ledger.json", "report.json")})
+        assert "synthesize" in [e["phase"] for e in written[0]["ledger.json"]["entries"]]
+        assert written[1]["ledger.json"] == written[0]["ledger.json"]
+        wall_clock = [report.pop("wall_clock") for report in (w["report.json"] for w in written)]
+        assert wall_clock[1] == pytest.approx(wall_clock[0] + 0.5)  # the one backoff
+        assert written[1]["report.json"] == written[0]["report.json"]
 
     def test_exec_embeds_each_text_once(self, tmp_path, capsys, monkeypatch):
         # context merging and synthesis share one embedder and its memo
@@ -623,6 +687,12 @@ class TestCalibrate:
     def test_no_inputs(self, capsys):
         assert main(["calibrate"]) == 2
 
+    def test_tasks_dir_without_task_files(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("no tasks here")
+        assert main(["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")]) == 2
+        assert capsys.readouterr().err == f"usage error: no task files in {tmp_path}\n"
+        assert not (tmp_path / "cal").exists()
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -678,6 +748,34 @@ class TestReport:
 
     def test_missing_logs_dir(self, capsys):
         assert main(["report", "--logs", "/nonexistent"]) == 2
+
+    def test_logs_dir_without_jsonl_files(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text("{}")
+        assert main(["report", "--logs", str(tmp_path), "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == f"usage error: no .jsonl logs in {tmp_path}\n"
+        assert not (tmp_path / "rep").exists()
+
+    def test_exec_run_logs_report_without_warning(self, tmp_path, capsys):
+        # route and synthesis records are not run records, and not corrupt
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        for i, backend in enumerate(("mock", "scripted:" + os.path.join(FIXTURES, "scripted.json"))):
+            assert main(["exec", write_manifest(tmp_path, backend=backend, output_dir=str(tmp_path / "out"))]) == 0
+            shutil.copy(tmp_path / "out" / "run.log.jsonl", logs / f"run{i}.jsonl")
+        capsys.readouterr()
+        assert main(["report", "--logs", str(logs), "--out", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr().err == ""
+        hist = (tmp_path / "rep" / "iteration_histogram.csv").read_text().splitlines()
+        assert hist[0] == "iterations,count" and sum(int(row.split(",")[1]) for row in hist[1:]) == 2
+
+    def test_blank_lines_are_not_corrupt(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        good = json.dumps({"type": "run", "topology": "hybrid", "iterations": 2})
+        (logs / "runs.jsonl").write_text(f"\n{good}\n\n  \n{good}\n\n")
+        assert main(["report", "--logs", str(logs), "--out", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "rep" / "iteration_histogram.csv").read_text().splitlines() == ["iterations,count", "2,2"]
 
     def test_run_records_without_a_known_topology_are_skipped(self, tmp_path, capsys):
         logs = tmp_path / "logs"
@@ -831,6 +929,8 @@ MALFORMED_INPUTS = {
     "pricing-row-no-output": ("exec-pricing", {**_PRICING, "rates": {"scripted": {"input_per_1m": "0"}}}, 2),
     "manifest-backend-not-string": ("exec-fields", {"backend": 5}, 2),
     "manifest-dag-not-string": ("exec-fields", {"dag": None}, 2),
+    "manifest-unknown-key": ("exec-fields", {"concurency": 2}, 2),
+    "manifest-unknown-backend-mode": ("exec-fields", {"backend": "nonsense"}, 2),
     "dag-no-subtasks": ("exec-dag", [], 3),
     "canonical-dag-no-vertices": ("exec-dag", {"vertices": [], "edges": []}, 3),
     "manifest-not-object": ("exec-manifest", ["dag.json"], 2),
@@ -838,6 +938,14 @@ MALFORMED_INPUTS = {
     "task-no-scores": ("calibrate", {"dag": _diamond_records()}, 3),
     "task-unknown-topology": ("calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "star": 1.0}}, 3),
     "task-topology-unscored": ("calibrate", {"dag": _diamond_records(), "scores": {"parallel": 0.5}}, 3),
+    # a score must be a finite JSON number: not "0.5", true, NaN, Infinity or past the float range
+    "task-score-string": ("calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "hybrid": "0.5"}}, 3),
+    "task-score-true": ("calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "hybrid": True}}, 3),
+    "task-score-nan": ("calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "hybrid": float("nan")}}, 3),
+    "task-score-infinity": (
+        "calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "hybrid": float("inf")}}, 3,
+    ),
+    "task-score-huge-int": ("calibrate", {"dag": _diamond_records(), "scores": {**_TASK_SCORES, "hybrid": 10**400}}, 3),
     "estimated-tokens-huge-int": ("route-dag", _diamond_records(estimated_tokens=10**400), 3),
     "canonical-weight-huge-int": ("route-dag", {"vertices": [{"id": "a", "weight": 10**400}], "edges": []}, 3),
     "canonical-coupling-huge-int": (
@@ -962,3 +1070,22 @@ def test_readme_cli_block_names_every_flag():
         for command, sub in subparsers.choices.items()
     }
     assert documented == flags
+
+
+def test_readme_manifest_example_names_every_field_and_runs(tmp_path, capsys):
+    # README's run-manifest example names exactly the manifest fields that
+    # exec checks, and exec accepts it with the files it names beside it
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("### Run manifest", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    manifest = json.loads(block)
+    assert sorted(manifest) == sorted(cli._MANIFEST_FIELDS)
+    shutil.copy(os.path.join(FIXTURES, manifest["dag"]), tmp_path / manifest["dag"])
+    write_fixture(tmp_path)
+    assert manifest["backend"] == "scripted:fixture.json"
+    _write_json(tmp_path / manifest["router_config"], {})
+    _write_json(tmp_path / manifest["pricing"], _PRICING)
+    assert main(["exec", _write_json(tmp_path / "manifest.json", manifest)]) == 0
+    assert sorted(os.listdir(tmp_path / manifest["output_dir"])) == [
+        "ledger.json", "report.json", "run.log.jsonl", "trace.json"
+    ]
