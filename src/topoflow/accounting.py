@@ -13,9 +13,12 @@ import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from .backends import AgentOutput
 from .routing import TOPOLOGY_ORDER, TopologyKind
+
+if TYPE_CHECKING:
+    from .backends import AgentOutput
 
 PICO_PER_DOLLAR = 10**12
 MICRO_PER_DOLLAR = 10**6

@@ -10,30 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import convergence, routing, runlog
-from .accounting import (
-    CostLedger,
-    Phase,
-    PricingError,
-    PricingTable,
-    RunReport,
-    format_distribution,
-    topology_distribution,
-)
-from .archetypes import ArchetypeKind, DagArchetype, archetype_edges
-from .backends import AgentBackend, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
-from .convergence import (
-    BoundDiverges,
-    ConvergenceParams,
-    SimConfig,
-    format_confusion_matrix,
-    simulate_variance,
-    variance_ratio_bound,
-)
+# only what ``route`` and ``main`` need: every other subcommand imports its own
+# modules, so a process loads only the layers its subcommand runs
+from . import routing, runlog
 from .dag import DagError, ParseError, ValidationError, load_dag, load_json
-from .execution import run_task
 from .routing import (
     RouterConfig,
     RoutingDecision,
@@ -43,6 +25,9 @@ from .routing import (
     route,
     split_dev_test,
 )
+
+if TYPE_CHECKING:
+    from .backends import AgentBackend
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,6 +45,12 @@ def _input_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
         raise UsageError(f"{what} not found or not a file: {path}")
     return path
+
+
+def _input_files(directory: str, suffix: str) -> list[str]:
+    """The regular files in ``directory`` whose names end in ``suffix``, sorted."""
+    paths = [os.path.join(directory, f) for f in os.listdir(directory) if f.endswith(suffix)]
+    return sorted(p for p in paths if os.path.isfile(p))
 
 
 def _load_config(path: str, parse: Callable, what: str):
@@ -97,6 +88,8 @@ def cmd_route(args) -> int:
 
 
 def _make_pool(spec: str, resolve: Callable[[str], str]) -> list[AgentBackend]:
+    from .backends import HttpChatBackend, MockBackend, ScriptedBackend
+
     if spec == "mock":
         return [MockBackend(f"mock{i}") for i in range(3)]
     if spec.startswith("scripted:"):
@@ -122,6 +115,10 @@ _MANIFEST_FIELDS = {
 
 
 def cmd_exec(args) -> int:
+    from .accounting import CostLedger, Phase, PricingError, PricingTable, RunReport
+    from .backends import BackendError
+    from .execution import run_task
+
     manifest = load_json(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
 
@@ -148,7 +145,11 @@ def cmd_exec(args) -> int:
     if not dag.vertices:
         raise DagError(f"{dag_path}: a DAG to execute needs at least one subtask")
     config = load("router_config", RouterConfig.from_dict, "router config")
-    pool = _make_pool(manifest["backend"], resolve)
+    try:
+        pool = _make_pool(manifest["backend"], resolve)
+    except BackendError as exc:  # an unknown provider: run_task reports every failed call in run.failure
+        print(f"backend error: {exc}", file=sys.stderr)
+        return EXIT_BACKEND
     offline = manifest["backend"] == "mock" or manifest["backend"].startswith("scripted:")
     ledger = CostLedger(load("pricing", PricingTable.from_dict, "pricing file") or PricingTable.default())
     for backend in pool:  # an unpriced backend would lose the ledger of every paid call
@@ -203,6 +204,8 @@ def cmd_exec(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    from .convergence import BoundDiverges, ConvergenceParams, variance_ratio_bound
+
     try:
         params = ConvergenceParams(epsilon=args.eps, omega=args.omega, gamma=args.gamma, k=args.k)
     except ValueError as exc:
@@ -215,6 +218,9 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .archetypes import ArchetypeKind, DagArchetype, archetype_edges
+    from .convergence import SimConfig, simulate_variance
+
     try:
         cfg = SimConfig(
             archetype=DagArchetype(ArchetypeKind(args.archetype), args.size, seed=args.seed),
@@ -251,13 +257,13 @@ def cmd_calibrate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.synthetic:
-        tasks = convergence.make_calibration_corpus(args.synthetic, seed=args.seed)
+        from .convergence import make_calibration_corpus
+
+        tasks = make_calibration_corpus(args.synthetic, seed=args.seed)
     else:
         if not args.tasks or not os.path.isdir(args.tasks):
             raise UsageError("provide --tasks DIR or --synthetic N")
-        files = sorted(
-            os.path.join(args.tasks, f) for f in os.listdir(args.tasks) if f.endswith(".json")
-        )
+        files = _input_files(args.tasks, ".json")
         if not files:
             raise UsageError(f"no task files in {args.tasks}")
         tasks = [calibration_task(load_json(f)) for f in files]
@@ -292,11 +298,12 @@ def _readable_run(record: dict) -> bool:
 
 
 def cmd_report(args) -> int:
+    from .accounting import format_distribution, topology_distribution
+    from .convergence import format_confusion_matrix, tally_confusion
+
     if not os.path.isdir(args.logs):
         raise UsageError(f"log directory not found: {args.logs}")
-    files = sorted(
-        os.path.join(args.logs, f) for f in os.listdir(args.logs) if f.endswith(".jsonl")
-    )
+    files = _input_files(args.logs, ".jsonl")
     if not files:
         raise UsageError(f"no .jsonl logs in {args.logs}")
     runs: list[dict] = []
@@ -344,7 +351,7 @@ def cmd_report(args) -> int:
 
     oracled = [r for r in runs if "oracle_topology" in r]
     if oracled:
-        cm = convergence.tally_confusion(
+        cm = tally_confusion(
             [(TopologyKind(r["topology"]), TopologyKind(r["oracle_topology"])) for r in oracled]
         )
         runlog.atomic_write(
@@ -361,6 +368,8 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .archetypes import ArchetypeKind
+
     parser = argparse.ArgumentParser(
         prog="topoflow",
         description="Task-adaptive multi-agent orchestration over dependency DAGs.",
@@ -421,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, DagError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except BackendError as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

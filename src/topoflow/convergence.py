@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .archetypes import DagArchetype, draw_couplings, generate_archetype
+from .archetypes import ArchetypeKind, DagArchetype, draw_couplings, generate_archetype
 from .dag import TaskDag
 from .metrics import DagMetrics, WidthMode, compute_metrics
 from .routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind, route
@@ -328,8 +328,6 @@ def simulate_variance(cfg: SimConfig) -> SimResult:
 
 def make_calibration_corpus(n: int, seed: int = 42) -> list[tuple[TaskDag, dict[TopologyKind, float]]]:
     """Mixed-archetype dev corpus with assumption-one per-topology scores."""
-    from .archetypes import ArchetypeKind
-
     kinds = list(ArchetypeKind)
     rng = random.Random(seed)
     corpus = []

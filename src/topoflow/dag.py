@@ -10,13 +10,11 @@ from __future__ import annotations
 import enum
 import functools
 import json
-import logging
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_WEIGHT = 500.0
 
@@ -306,7 +304,7 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
             raise ParseError(f"record {vid!r} has unknown coupling label {rec['coupling']!r}")
         if tokens is None:
             tokens = DEFAULT_WEIGHT
-            logger.warning("record %r missing estimated_tokens; defaulting to %s", vid, tokens)
+            print(f"record {vid!r} missing estimated_tokens; defaulting to {tokens}", file=sys.stderr)
         elif type(tokens) not in _NUMBER_TYPES:
             raise ParseError(f"record {vid!r} has estimated_tokens that is not a number: {tokens!r}")
         try:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -237,7 +236,12 @@ class ExecutionEngine:
                 trace, lead, "assign", LEAD_ASSIGN_PREFIX + subtask_list, glob, cursor
             )
         shared = kind in (TopologyKind.HYBRID, TopologyKind.HIERARCHICAL)
-        with ThreadPoolExecutor(self.concurrency_limit) if self.clock == "wall" else nullcontext() as pool:
+        workers = nullcontext()
+        if self.clock == "wall":
+            from concurrent.futures import ThreadPoolExecutor  # here, so that offline runs load neither it nor logging
+
+            workers = ThreadPoolExecutor(self.concurrency_limit)
+        with workers as pool:
             for group in plan.order:
                 earlier = [trace.outputs[v] for v in sorted(trace.outputs)] if shared else []
                 prompts = {}

@@ -12,6 +12,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import sys
 
 import pytest
 
@@ -20,7 +21,7 @@ from topoflow.archetypes import DagArchetype
 from topoflow.cli import main
 from topoflow.convergence import SimConfig
 
-from test_cli import write_manifest
+from test_cli import FIXTURES, write_manifest
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 PB_TRACE = os.path.join(PERFBENCH, "pb_trace.py")
@@ -99,3 +100,26 @@ def test_tracer_reaches_every_layer_of_an_exec(tmp_path, capsys):
         "routing.route": 3, "execution.plan": 3, "execution.run": 3, "synthesis.synthesize": 1, "cli.exec": 1,
     }
     assert execution.route is routing.route is original_route
+
+
+def test_tracer_reaches_the_function_local_imports_of_route_and_simulate(tmp_path, capsys):
+    # cmd_simulate imports simulate_variance when it runs, so it must find the wrapper
+    for _, module, *_ in pb_trace.FUNCTIONS + pb_trace.METHODS:
+        importlib.import_module(module)
+    modules = [m for n, m in sorted(sys.modules.items()) if n == "topoflow" or n.startswith("topoflow.")]
+    classes = [getattr(sys.modules[module], cls) for _, module, cls, _ in pb_trace.METHODS]
+    before = [dict(vars(owner)) for owner in modules + classes]
+    tracer = pb_trace.Tracer()
+    tracer.install()
+    try:
+        assert main(["route", os.path.join(FIXTURES, "diamond.json")]) == 0
+        argv = ["simulate", "--archetype", "diamond", "--trials", "5", "--out", str(tmp_path / "sim")]
+        assert main(argv) == 0
+    finally:
+        tracer.restore()
+    calls = {name: totals["calls"] for name, totals in tracer.layer_totals().items()}
+    assert calls["dag.validate"] >= 1 and calls["routing.route"] == 1 and calls["cli.route"] == 1
+    assert calls["convergence.simulate"] == 1
+    after = [dict(vars(owner)) for owner in modules + classes]
+    for old, new in zip(before, after):
+        assert {key: new[key] for key in old if new[key] is not old[key]} == {}

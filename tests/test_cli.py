@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from topoflow import cli
+from topoflow import cli, convergence
 from topoflow.backends import BackendError, HttpChatBackend, ScriptedBackend
 from topoflow.cli import _make_pool, main
 from topoflow.runlog import read_jsonl
@@ -646,7 +646,7 @@ class TestSimulate:
         def fail(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(cli, "simulate_variance", fail)
+        monkeypatch.setattr(convergence, "simulate_variance", fail)
         out = tmp_path / "sim"
         argv = ["simulate", "--archetype", "diamond", "--trials", "25", *flags, "--out", str(out)]
         assert main(argv) == 2
@@ -689,6 +689,7 @@ class TestCalibrate:
 
     def test_tasks_dir_without_task_files(self, tmp_path, capsys):
         (tmp_path / "notes.txt").write_text("no tasks here")
+        (tmp_path / "a.json").mkdir()  # named like a task file, but a directory
         assert main(["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")]) == 2
         assert capsys.readouterr().err == f"usage error: no task files in {tmp_path}\n"
         assert not (tmp_path / "cal").exists()
@@ -751,6 +752,7 @@ class TestReport:
 
     def test_logs_dir_without_jsonl_files(self, tmp_path, capsys):
         (tmp_path / "run.json").write_text("{}")
+        (tmp_path / "b.jsonl").mkdir()  # named like a log, but a directory
         assert main(["report", "--logs", str(tmp_path), "--out", str(tmp_path / "rep")]) == 2
         assert capsys.readouterr().err == f"usage error: no .jsonl logs in {tmp_path}\n"
         assert not (tmp_path / "rep").exists()
@@ -872,20 +874,42 @@ class TestInputFilesNamed:
         assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'pricing.json'}: ")
 
 
-def test_import_loads_only_the_stdlib_and_no_http():
-    # an offline run must not pay for the HTTP stack, nor need any package but topoflow
-    code = (
-        "import sys; before = set(sys.modules); import topoflow, topoflow.cli; "
-        "print(*sorted(set(sys.modules) - before))"
-    )
+def modules_loaded_by(code):
+    """The modules that ``code``, run in a fresh interpreter, adds to ``sys.modules``."""
+    script = f"import sys; before = set(sys.modules)\n{code}\nprint(*sorted(set(sys.modules) - before))"
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "topoflow.cli" in loaded
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_import_loads_only_the_stdlib_and_no_http(tmp_path):
+    # an offline run must not pay for the HTTP stack, nor need any package but topoflow
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "topoflow")
+    every = sorted(f"topoflow.{f[:-3]}" for f in os.listdir(src) if f.endswith(".py") and f != "__init__.py")
+    loaded = modules_loaded_by(f"import {', '.join(every)}")
+    assert set(every) <= set(loaded)
     assert sorted({m.split(".")[0] for m in loaded} - sys.stdlib_module_names - {"topoflow"}) == []
     assert "http.client" not in loaded and "ssl" not in loaded
+
+    # and a process loads only the layers its subcommand runs
+    assert [m for m in modules_loaded_by("import topoflow") if m.startswith("topoflow.")] == []
+    run = "from topoflow.cli import main; main({!r})".format
+    route = modules_loaded_by(run(["route", os.path.join(FIXTURES, "diamond.json")]))
+    assert "topoflow.routing" in route
+    engine = {f"topoflow.{m}" for m in ("accounting", "backends", "execution", "synthesis")}
+    assert sorted(set(route) & (engine | {"topoflow.convergence"})) == []
+    ratio = modules_loaded_by(run(["ratio", "--omega", "3", "--gamma", "0.4", "--k", "6", "--eps", "0.05"]))
+    simulate = modules_loaded_by(
+        run(["simulate", "--archetype", "diamond", "--trials", "5", "--out", str(tmp_path / "sim")])
+    )
+    for loaded in (ratio, simulate):
+        assert "topoflow.convergence" in loaded
+        assert sorted(set(loaded) & engine) == []
+    # an offline exec runs on the virtual clock: no thread pool, no HTTP stack
+    offline = modules_loaded_by(run(["exec", write_manifest(tmp_path, backend="mock")]))
+    assert "topoflow.execution" in offline
+    assert sorted(set(offline) & {"concurrent.futures", "http.client", "ssl"}) == []
 
 
 def _diamond_records(**changes):
@@ -1014,7 +1038,18 @@ MALFORMED_INPUTS = {
     "manifest-dag-a-directory": ("exec-dag-dir", None, 2),
     "manifest-pricing-a-directory": ("exec-pricing-dir", None, 2),
     "fixture-a-directory": ("exec-fixture-dir", None, 2),
+    # a directory named like a task file or a log is not one
+    "task-file-a-directory": ("calibrate-dir", None, 2),
+    "log-a-directory": ("report-logs-dir", None, 2),
 }
+
+
+def _dir_holding_dir(tmp_path, name):
+    """A new directory under ``tmp_path`` whose one entry is a directory ``name``."""
+    (tmp_path / "inputs" / name).mkdir(parents=True)
+    return str(tmp_path / "inputs")
+
+
 ERR_PREFIX = {0: "warning: skipped 1 corrupt", 2: "usage error: ", 3: "data error: "}
 
 
@@ -1046,6 +1081,12 @@ def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
         "exec-fixture-dir": lambda: ["exec", write_manifest(tmp_path, backend="scripted:" + str(tmp_path))],
         "calibrate": lambda: ["calibrate", "--tasks", str(tmp_path), "--out", str(tmp_path / "cal")],
         "report-logs": lambda: ["report", "--logs", str(tmp_path), "--out", str(tmp_path / "rep")],
+        "calibrate-dir": lambda: [
+            "calibrate", "--tasks", _dir_holding_dir(tmp_path, "a.json"), "--out", str(tmp_path / "cal"),
+        ],
+        "report-logs-dir": lambda: [
+            "report", "--logs", _dir_holding_dir(tmp_path, "b.jsonl"), "--out", str(tmp_path / "rep"),
+        ],
     }[where]()
     assert main(argv) == code
     err = capsys.readouterr().err

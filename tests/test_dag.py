@@ -223,11 +223,12 @@ class TestParseDecomposition:
                 )
             assert str(exc.value) == f"record 'v0' has unknown coupling label {label!r}"
 
-    def test_missing_estimated_tokens_defaults(self, caplog):
+    def test_missing_estimated_tokens_defaults(self, capsys):
         dag = parse_decomposition(
             [{"id": "v0", "description": "x", "depends_on": [], "coupling": "weak"}]
         )
         assert dag.subtask("v0").weight == 500.0
+        assert capsys.readouterr().err == "record 'v0' missing estimated_tokens; defaulting to 500.0\n"
 
     def test_accepts_all_four_labels(self):
         records = [
