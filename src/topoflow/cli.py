@@ -15,8 +15,9 @@ from typing import TYPE_CHECKING, Callable
 # only what ``route`` and ``main`` need: every other subcommand imports its own
 # modules, so a process loads only the layers its subcommand runs
 from . import routing, runlog
-from .dag import DagError, ParseError, ValidationError, load_dag, load_json
+from .dag import DagError, load_dag, load_json
 from .routing import (
+    TOPOLOGY_ORDER,
     RouterConfig,
     RoutingDecision,
     TopologyKind,
@@ -231,7 +232,10 @@ def cmd_simulate(args) -> int:
         archetype_edges(cfg.archetype.kind, cfg.archetype.size)  # raises on a size the archetype cannot build
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = simulate_variance(cfg)
+    try:
+        result = simulate_variance(cfg)
+    except OverflowError as exc:  # an --eps so large that the pool variance leaves the float range
+        raise UsageError(f"--eps {args.eps}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     runlog.write_csv(
         os.path.join(args.out, "trials.csv"),
@@ -331,7 +335,7 @@ def cmd_report(args) -> int:
     runlog.atomic_write(os.path.join(args.out, "topology_distribution.txt"), text + "\n")
     runlog.write_csv(
         os.path.join(args.out, "topology_distribution.csv"),
-        ["domain", "parallel", "sequential", "hierarchical", "hybrid"],
+        ["domain", *(k.value for k in TOPOLOGY_ORDER)],
         [
             {"domain": grp, **{k.value: f"{row[k]:.1f}" for k in row}}
             for grp, row in table.items()
@@ -427,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, ValidationError, DagError) as exc:
+    except DagError as exc:  # ParseError and ValidationError among them
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (OSError, ValueError) as exc:

@@ -17,14 +17,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .backends import AgentBackend, AgentOutput, BackendError
 from .dag import Subtask, TaskDag
 from .routing import RouterConfig, RoutingDecision, TopologyKind, route
 from .synthesis import DEFAULT_THETA_CS, Embedder, HashedEmbedder, SynthesisConfig, SynthesisError, SynthesisResult
 from .synthesis import _sparse_cosine, _template, synthesize
-from .synthesis import cosine  # noqa: F401  (perfbench's self-test patches this binding)
+from .synthesis import cosine  # noqa: F401  (the dense reference; perfbench's self-test patches this binding)
 
 DEFAULT_CONCURRENCY = 8
 DEFAULT_CONTEXT_BUDGET = 4000
@@ -33,23 +33,6 @@ BACKOFF_BASE = 0.5
 
 LEAD_ASSIGN_PREFIX = _template("lead_assign.txt")
 LEAD_RECONCILE_PREFIX = _template("lead_reconcile.txt")
-
-RelevanceFn = Callable[[str, str], float]
-
-
-def embedding_relevance(embedder: Embedder | None = None) -> RelevanceFn:
-    """Relevance oracle shared with synthesis: embedding cosine similarity.
-
-    Pass the embedder that synthesis uses, so that a text embedded here is
-    not embedded again there.
-    """
-    emb = embedder or HashedEmbedder()
-
-    def rel(text: str, target_description: str) -> float:
-        return _sparse_cosine(emb.sparse(text), emb.sparse(target_description))
-
-    return rel
-
 
 @dataclass(frozen=True)
 class ExecutionPlan:
@@ -77,13 +60,7 @@ class ExecutionTrace:
 
     def ordered_outputs(self) -> list[AgentOutput]:
         """Outputs ordered by schedule completion (ties broken by subtask id)."""
-        return [
-            self.outputs[vid]
-            for vid in sorted(
-                self.outputs,
-                key=lambda v: (self.timings[v].finish if v in self.timings else 0.0, v),
-            )
-        ]
+        return [self.outputs[v] for v in sorted(self.outputs, key=lambda v: (self.timings[v].finish, v))]
 
     def to_record(self) -> dict:
         def out_rec(out: AgentOutput) -> dict:
@@ -147,21 +124,23 @@ def merge_context(
     predecessor_outputs: list[AgentOutput],
     target: Subtask,
     budget: int,
-    relevance: RelevanceFn,
+    embedder: Embedder,
 ) -> str:
     """Relevance-ranked greedy inclusion of whole predecessor outputs.
 
-    Outputs are ranked by relevance to the target's description and included
-    whole, in rank order, until the next one would exceed the token budget
-    (sizes use backend-reported completion token counts).
+    Outputs are ranked by the embedding cosine between their text and the
+    target's description, ties by subtask id, and included whole, in rank
+    order, until the next one would exceed the token budget (sizes use
+    backend-reported completion token counts).
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if not predecessor_outputs:
         return ""
+    want = embedder.sparse(target.description)
     ranked = sorted(
         predecessor_outputs,
-        key=lambda o: (-relevance(o.text, target.description), o.subtask_id),
+        key=lambda o: (-_sparse_cosine(embedder.sparse(o.text), want), o.subtask_id),
     )
     parts: list[str] = []
     used = 0
@@ -191,7 +170,6 @@ class ExecutionEngine:
         self.clock = clock
         self.task_text = task_text
         self.embedder = HashedEmbedder()  # its memo serves context merging, and synthesis in run_task
-        self.relevance = embedding_relevance(self.embedder)
 
     def run(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
         """Run the plan's groups in order, each group's vertices concurrently.
@@ -250,7 +228,7 @@ class ExecutionEngine:
                     sources = earlier
                     if kind is TopologyKind.SEQUENTIAL:
                         sources = [trace.outputs[p] for p in sorted(dag.predecessors(vid)) if p in trace.outputs]
-                    merged = merge_context(sources, sub, plan.context_budget, self.relevance)
+                    merged = merge_context(sources, sub, plan.context_budget, self.embedder)
                     prompts[vid] = (sub.description or sub.id, f"{glob}\n\n{merged}".strip() if merged else glob)
                 if prompts:
                     group_end = self._run_group(trace, plan, prompts, cursor, pool)

@@ -45,14 +45,8 @@ class SparseVector(NamedTuple):
 
 class Embedder(ABC):
     @abstractmethod
-    def embed(self, text: str) -> list[float]:
-        """Deterministic fixed-length embedding of the text."""
-
     def build_sparse(self, text: str) -> SparseVector:
-        """The text's :class:`SparseVector`, built from :meth:`embed`'s dense vector."""
-        entries = {i: x for i, x in enumerate(self.embed(text)) if x}
-        # the dense sum adds only +0.0 beyond these squares, so the norm is cosine's
-        return SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
+        """The text's deterministic, fixed-dimension embedding, as a :class:`SparseVector`."""
 
     def sparse(self, text: str) -> SparseVector:
         """:meth:`build_sparse` of the text, built once per distinct text.
@@ -99,7 +93,7 @@ class HashedEmbedder(Embedder):
         return SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
 
     def embed(self, text: str) -> list[float]:
-        """The dense expansion of :meth:`sparse`: zeros off its entries."""
+        """The dense reference, not the contract: :meth:`sparse` with zeros off its entries."""
         vec = [0.0] * self.dimension
         for i, x in self.sparse(text).entries.items():
             vec[i] = x
@@ -112,12 +106,14 @@ class FixtureEmbedder(Embedder):
     def __init__(self, vectors: dict[str, list[float]]):
         self.vectors = vectors
 
-    def embed(self, text: str) -> list[float]:
-        return self.vectors[text]
+    def build_sparse(self, text: str) -> SparseVector:
+        entries = {i: x for i, x in enumerate(self.vectors[text]) if x}
+        # the dense sum adds only +0.0 beyond these squares, so the norm is cosine's
+        return SparseVector(entries, math.sqrt(sum(x * x for x in entries.values())))
 
 
 def cosine(a: list[float], b: list[float]) -> float:
-    """Dense cosine similarity; the reference that :func:`_sparse_cosine` matches."""
+    """The dense reference, not the contract: the cosine that :func:`_sparse_cosine` matches."""
     dot = sum(x * y for x, y in zip(a, b))
     na = math.sqrt(sum(x * x for x in a))
     nb = math.sqrt(sum(x * x for x in b))

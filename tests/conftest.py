@@ -448,6 +448,27 @@ class DenseHashedEmbedder:
         return vec
 
 
+def oracle_merge_context(predecessor_outputs, target, budget, relevance):
+    """Reference for ``topoflow.execution.merge_context``: the version that
+    ranked by a ``relevance(text, target_description)`` callable, verbatim."""
+    if budget <= 0:
+        raise ValueError("budget must be positive")
+    if not predecessor_outputs:
+        return ""
+    ranked = sorted(
+        predecessor_outputs,
+        key=lambda o: (-relevance(o.text, target.description), o.subtask_id),
+    )
+    parts: list[str] = []
+    used = 0
+    for out in ranked:
+        if used + out.completion_tokens > budget:
+            break
+        parts.append(f"## {out.subtask_id}\n{out.text}")
+        used += out.completion_tokens
+    return "\n\n".join(parts)
+
+
 @pytest.fixture
 def diamond():
     # a -> {b, c} -> d, unit weights, weak coupling throughout

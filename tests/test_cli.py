@@ -1041,6 +1041,8 @@ MALFORMED_INPUTS = {
     # a directory named like a task file or a log is not one
     "task-file-a-directory": ("calibrate-dir", None, 2),
     "log-a-directory": ("report-logs-dir", None, 2),
+    # a number flag whose pool variance leaves the float range
+    "simulate-eps-variance-overflow": ("simulate-eps-1e155", None, 2),
 }
 
 
@@ -1086,6 +1088,9 @@ def test_malformed_inputs_exit_cleanly(case, tmp_path, capsys):
         ],
         "report-logs-dir": lambda: [
             "report", "--logs", _dir_holding_dir(tmp_path, "b.jsonl"), "--out", str(tmp_path / "rep"),
+        ],
+        "simulate-eps-1e155": lambda: [
+            "simulate", "--archetype", "diamond", "--eps", "1e155", "--trials", "2", "--out", str(tmp_path / "out"),
         ],
     }[where]()
     assert main(argv) == code

@@ -156,6 +156,14 @@ class TestValidateDag:
         assert report == oracle_validate_dag(dag)
         assert report.violations == (Violation("cycle", "cycle c -> e -> c"),)
 
+    def test_cycle_search_skips_a_root_already_searched(self):
+        # the search from a finishes b, so b is no root of its own
+        edges = (("a", "b"), ("c", "d"), ("d", "c"))
+        dag = TaskDag(tuple(Subtask(vid) for vid in "abcd"), edges, dict.fromkeys(edges, 0.3))
+        report = validate_dag(dag)
+        assert report == oracle_validate_dag(dag)
+        assert report.violations == (Violation("cycle", "cycle c -> d -> c"),)
+
     @settings(max_examples=400, deadline=None)
     @given(flawed_dags())
     # an edge set with repeats, where duplicates are named edge by edge: a

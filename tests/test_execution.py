@@ -18,13 +18,13 @@ from topoflow.execution import (
     ExecutionEngine,
     ExecutionFailure,
     assign_agents,
-    embedding_relevance,
     make_plan,
     merge_context,
     run_task,
 )
 from topoflow.routing import TopologyKind, route
 from topoflow.runlog import read_jsonl
+from topoflow.synthesis import FixtureEmbedder, HashedEmbedder
 
 from conftest import make_dag
 from test_cli import FIXTURES, fixture_entries, write_manifest
@@ -407,24 +407,24 @@ class TestMergeContext:
             out("v0", "weather forecast data for the report", tokens=50),
             out("v1", "unrelated database schema notes", tokens=50),
         ]
-        rel = embedding_relevance()
-        merged = merge_context(preds, target, budget=60, relevance=rel)
+        merged = merge_context(preds, target, budget=60, embedder=HashedEmbedder())
         assert "weather forecast" in merged
         assert "database" not in merged  # second-ranked output exceeds budget
 
     def test_stops_at_first_overflow(self):
         target = Subtask("t", description="anything")
         preds = [out("v0", "aaa", tokens=30), out("v1", "bbb", tokens=30)]
-        merged = merge_context(preds, target, budget=45, relevance=lambda t, d: 0.0)
+        zero = FixtureEmbedder(dict.fromkeys(["anything", "aaa", "bbb"], [0.0]))
+        merged = merge_context(preds, target, budget=45, embedder=zero)
         # rank tie broken by id; only v0 fits whole
         assert "v0" in merged and "v1" not in merged
 
     def test_empty_predecessors(self):
-        assert merge_context([], Subtask("t"), 100, lambda t, d: 0.0) == ""
+        assert merge_context([], Subtask("t"), 100, FixtureEmbedder({})) == ""
 
     def test_budget_positive(self):
         with pytest.raises(ValueError):
-            merge_context([], Subtask("t"), 0, lambda t, d: 0.0)
+            merge_context([], Subtask("t"), 0, FixtureEmbedder({}))
 
 
 class TestVirtualClock:
@@ -761,7 +761,6 @@ class TestRunTask:
         assert capsys.readouterr().out == f"{run.result.final_text} {namespace['ledger'].total_tokens}\n"
 
     def test_engine_has_no_relevance_option(self):
-        engine = ExecutionEngine()
-        assert engine.relevance("a b", "a b") == pytest.approx(1.0)
+        assert not hasattr(ExecutionEngine(), "relevance")
         with pytest.raises(TypeError):
             ExecutionEngine(relevance=lambda text, target: 0.0)

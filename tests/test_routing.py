@@ -189,4 +189,6 @@ class TestCalibration:
     def test_empty_inputs(self):
         with pytest.raises(ValueError):
             calibrate_gamma([])
+        with pytest.raises(ValueError):
+            calibrate_gamma([_scored(make_dag(3, [(0, 1), (1, 2)]), TopologyKind.SEQUENTIAL)], grid=())
 

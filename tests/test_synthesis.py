@@ -1,5 +1,7 @@
 import math
 import random
+import typing
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 from topoflow import synthesis
 from topoflow.backends import AgentOutput, ScriptedBackend
 from topoflow.dag import Subtask
-from topoflow.execution import embedding_relevance, merge_context
+from topoflow.execution import merge_context
 from topoflow.routing import TopologyKind
 from topoflow.synthesis import (
     ARBITER_PREFIX,
     MERGE_PREFIX,
+    Embedder,
     FixtureEmbedder,
     HashedEmbedder,
     SparseVector,
@@ -26,7 +29,7 @@ from topoflow.synthesis import (
     synthesize,
 )
 
-from conftest import DenseHashedEmbedder
+from conftest import DenseHashedEmbedder, oracle_merge_context
 
 PARALLEL = TopologyKind.PARALLEL
 SEQUENTIAL = TopologyKind.SEQUENTIAL
@@ -37,6 +40,11 @@ def scripted(**fixture):
 
 
 class TestEmbeddings:
+    def test_the_sparse_builder_is_the_one_contract(self):
+        assert Embedder.__abstractmethods__ == {"build_sparse"}
+        assert "embed" not in vars(FixtureEmbedder)
+        assert typing.get_type_hints(merge_context)["embedder"] is Embedder
+
     def test_hashed_embedder_deterministic_and_normalized(self):
         emb = HashedEmbedder()
         a = emb.embed("alpha beta gamma")
@@ -80,6 +88,10 @@ class TestConsistencyScore:
         emb = FixtureEmbedder({"cand": [1.0, 0.0], "o1": [1.0, 0.0], "o2": [0.0, 1.0]})
         assert consistency_of_candidate("cand", ["o1", "o2"], emb) == pytest.approx(0.5)
 
+    def test_candidate_without_originals_raises(self):
+        with pytest.raises(ValueError):
+            consistency_of_candidate("cand", [], HashedEmbedder())
+
 
 # The dense formulas the scores were defined by; the sparse path must match
 # them bit for bit, because mock outputs tie on relevance and ties are broken
@@ -108,6 +120,11 @@ def dense_relevance(emb):
     return lambda text, description: cosine(emb.embed(text), emb.embed(description))
 
 
+def sparse_relevance(emb):
+    """The relevance that ``merge_context`` ranks by."""
+    return lambda text, description: synthesis._sparse_cosine(emb.sparse(text), emb.sparse(description))
+
+
 TEXTS = st.lists(
     st.sampled_from(["red", "Fox", "fox", "blue", "sky", "the", "a", "x1", "[mock0]", "result"]),
     max_size=8,
@@ -130,7 +147,7 @@ class TestSparseExactness:
         emb, ref = HashedEmbedder(dim), DenseHashedEmbedder(dim)
         assert repr(consistency_score(texts, emb)) == repr(dense_consistency(texts, ref))
         assert repr(consistency_of_candidate(other, texts, emb)) == repr(dense_candidate(other, texts, ref))
-        rel, dense = embedding_relevance(emb), dense_relevance(ref)
+        rel, dense = sparse_relevance(emb), dense_relevance(ref)
         assert [repr(rel(t, other)) for t in texts] == [repr(dense(t, other)) for t in texts]
 
     @given(st.integers(min_value=1, max_value=12).flatmap(fixture_vectors))
@@ -138,11 +155,11 @@ class TestSparseExactness:
     def test_fixture_matches_dense(self, vectors):
         names = [f"t{i}" for i in range(len(vectors))]
         emb = FixtureEmbedder(dict(zip(names, vectors)))
-        ref = FixtureEmbedder(dict(zip(names, vectors)))
+        ref = SimpleNamespace(embed=emb.vectors.__getitem__)
         texts = names[1:] + names[1:2]
         assert repr(consistency_score(texts, emb)) == repr(dense_consistency(texts, ref))
         assert repr(consistency_of_candidate(names[0], texts, emb)) == repr(dense_candidate(names[0], texts, ref))
-        rel, dense = embedding_relevance(emb), dense_relevance(ref)
+        rel, dense = sparse_relevance(emb), dense_relevance(ref)
         assert [repr(rel(a, b)) for a in names for b in names] == [
             repr(dense(a, b)) for a in names for b in names
         ]
@@ -160,8 +177,8 @@ class TestSparseExactness:
             for t, v in zip(texts, ids)
         ]
         target = Subtask("t", description=description)
-        sparse = merge_context(outputs, target, 10**6, embedding_relevance(HashedEmbedder(dim)))
-        assert sparse == merge_context(outputs, target, 10**6, dense_relevance(DenseHashedEmbedder(dim)))
+        sparse = merge_context(outputs, target, 10**6, HashedEmbedder(dim))
+        assert sparse == oracle_merge_context(outputs, target, 10**6, dense_relevance(DenseHashedEmbedder(dim)))
 
     @given(st.integers(min_value=1, max_value=256), st.lists(st.one_of(TEXTS, LONG_TEXTS, st.text(max_size=40))))
     @settings(max_examples=200, deadline=None)
@@ -182,18 +199,19 @@ class TestSparseExactness:
         monkeypatch.setattr(emb, "build_sparse", lambda text: texts.append(text) or build(text))
         consistency_score(["a b", "a b", "c"], emb)
         consistency_of_candidate("c", ["a b", "d"], emb)
-        embedding_relevance(emb)("d", "a b")
+        d = AgentOutput(text="d", prompt_tokens=1, completion_tokens=1, latency=0.1, backend="m", subtask_id="v")
+        merge_context([d], Subtask("t", description="a b"), 10, emb)
         assert texts == ["a b", "c", "d"]
 
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(synthesis, "EMBED_CACHE_SIZE", 2)
         emb = FixtureEmbedder({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
         texts = []
-        embed = emb.embed
-        monkeypatch.setattr(emb, "embed", lambda text: texts.append(text) or embed(text))
+        build = emb.build_sparse
+        monkeypatch.setattr(emb, "build_sparse", lambda text: texts.append(text) or build(text))
         for text in ("a", "b", "c", "a", "c"):
             emb.sparse(text)
-        # the memo is emptied when full, so "a" is embedded again after "c"
+        # the memo is emptied when full, so "a" is built again after "c"
         assert texts == ["a", "b", "c", "a"]
 
 
