@@ -184,14 +184,13 @@ def topology_distribution(
     groups: dict[str, list[TopologyKind]] = {}
     for topology, grp in zip(topologies, grouping):
         groups.setdefault(grp, []).append(topology)
+    if "Average" in groups:
+        raise ValueError("no group may be named 'Average', the mean row's name")
     table: dict[str, dict[TopologyKind, float]] = {}
     for grp in sorted(groups):
         runs = groups[grp]
         table[grp] = {k: 100.0 * runs.count(k) / len(runs) for k in TOPOLOGY_ORDER}
-    table["Average"] = {
-        k: sum(row[k] for g, row in table.items() if g != "Average") / len(groups)
-        for k in TOPOLOGY_ORDER
-    }
+    table["Average"] = {k: sum(row[k] for row in table.values()) / len(groups) for k in TOPOLOGY_ORDER}
     return table
 
 

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import select
+import sys
 import threading
 import time
 import urllib.parse
@@ -104,7 +104,8 @@ _FIXTURE_FIELDS = {
     "prompt_tokens": (_tokens, f"an integer in [0, {MAX_TOKEN_COUNT}]"),
     "completion_tokens": (_tokens, f"an integer in [0, {MAX_TOKEN_COUNT}]"),
     "fail_times": (_count, "a non-negative integer"),
-    "latency": (lambda v: type(v) in (int, float) and 0 <= v < math.inf, "a finite number of at least 0"),
+    # an int past the float range compares below infinity, not below the largest float
+    "latency": (lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max, "a finite number of at least 0"),
 }
 
 

@@ -289,7 +289,8 @@ def cmd_calibrate(args) -> int:
 def _readable_run(record: dict) -> bool:
     """A run record whose topologies this version knows, whose counts and
     times, where present, are numbers, and whose group, where present, is a
-    string; ``type`` is exact, so a bool is no number."""
+    string other than the mean row's ``Average``; ``type`` is exact, so a
+    bool is no number."""
     known = [k.value for k in TopologyKind]
     numbers = [record.get(key, 0) for key in ("total_tokens", "cost_microdollars", "wall_clock")]
     return (
@@ -298,6 +299,7 @@ def _readable_run(record: dict) -> bool:
         and type(record.get("iterations", 1)) is int
         and all(type(v) in (int, float) for v in numbers)
         and type(record.get("group", "all")) is str
+        and record.get("group") != "Average"
     )
 
 

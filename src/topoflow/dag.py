@@ -237,29 +237,20 @@ def _build_index(dag: TaskDag, order: list[str], level: list[int]) -> DagIndex:
 
 def _find_cycle(ids: list[str], adj: list[list[int]]) -> list[str]:
     """A witness cycle [a, ..., a] in a digraph without self-edges that has
-    one: the first back edge of an iterative DFS from roots in rank order,
-    successors in edge order."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * len(ids)
-    for root in range(len(ids)):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]  # the gray path, root first
-        color[root] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(adj[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = adj[node][idx]
-                if color[nxt] == GRAY:  # the gray path from nxt, closed by this edge
-                    path = [i for i, _ in stack]
-                    return [ids[i] for i in path[path.index(nxt):]] + [ids[nxt]]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
+    one: graphlib's, the first back edge of its iterative DFS from roots in
+    rank order, successors in edge order."""
+    import graphlib  # only an invalid DAG loads it
+
+    sorter = graphlib.TopologicalSorter()
+    for i in range(len(ids)):
+        sorter.add(i)  # the DFS roots, in rank order
+    for i, succ in enumerate(adj):
+        for j in succ:
+            sorter.add(j, i)  # appends j to i's successors
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        return [ids[i] for i in exc.args[1]]
     raise AssertionError("no cycle to name")
 
 

@@ -262,19 +262,17 @@ class ExecutionEngine:
         self, backend: AgentBackend, instruction: str, context: str, *, tag: str
     ) -> AgentOutput:
         backoff = 0.0
-        for attempt in range(RETRIES):
+        for attempt in range(RETRIES + 1):
             try:
                 out = backend.invoke(instruction, context, tag=tag)
                 break
             except BackendError as exc:
-                if not exc.transient:
+                if not exc.transient or attempt == RETRIES:
                     raise
                 delay = BACKOFF_BASE * (2**attempt)
                 backoff += delay
                 if self.clock == "wall":
                     time.sleep(delay)
-        else:
-            out = backend.invoke(instruction, context, tag=tag)  # the last attempt: any failure raises
         # retried calls carry their backoff in the reported latency
         return replace(out, latency=out.latency + backoff) if backoff else out
 

@@ -10,6 +10,7 @@ estimate raised by 0.2, which bounds the loop.
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import math
 from abc import ABC, abstractmethod
@@ -32,7 +33,7 @@ MERGE_PREFIX = _template("merge.txt")
 ARBITER_PREFIX = _template("arbiter.txt")
 
 
-EMBED_CACHE_SIZE = 16384  # distinct texts an embedder keeps before it starts over
+EMBED_CACHE_SIZE = 16384  # distinct texts an embedder keeps, the most recently used
 
 
 class SparseVector(NamedTuple):
@@ -48,24 +49,12 @@ class Embedder(ABC):
     def build_sparse(self, text: str) -> SparseVector:
         """The text's deterministic, fixed-dimension embedding, as a :class:`SparseVector`."""
 
-    def sparse(self, text: str) -> SparseVector:
-        """:meth:`build_sparse` of the text, built once per distinct text.
-
-        The memo holds up to ``EMBED_CACHE_SIZE`` texts and is emptied when
-        full.  Threads sharing an embedder may build a text twice, never
-        read a wrong vector.
-        """
-        try:
-            memo = self._memo
-        except AttributeError:  # the first call; no subclass __init__ has to set it
-            memo = self._memo = {}
-        vec = memo.get(text)
-        if vec is None:
-            vec = self.build_sparse(text)
-            if len(memo) >= EMBED_CACHE_SIZE:
-                memo.clear()
-            memo[text] = vec
-        return vec
+    @functools.cached_property
+    def sparse(self) -> Callable[[str], SparseVector]:
+        """:meth:`build_sparse` behind a memo of the ``EMBED_CACHE_SIZE`` most
+        recently used texts.  Threads sharing an embedder may build a text
+        twice, never read a wrong vector."""
+        return functools.lru_cache(EMBED_CACHE_SIZE)(self.build_sparse)
 
 
 class HashedEmbedder(Embedder):

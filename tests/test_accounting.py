@@ -130,6 +130,11 @@ class TestTopologyDistribution:
         assert table["Average"][TopologyKind.PARALLEL] == 50.0
         assert table["Average"][TopologyKind.HYBRID] == 50.0
 
+    def test_no_group_is_named_average(self):
+        # the mean row's name: such a group's row would be overwritten by the mean
+        with pytest.raises(ValueError, match="Average"):
+            topology_distribution([TopologyKind.HYBRID, TopologyKind.PARALLEL], ["Average", "x"])
+
     def test_formatting(self):
         table = topology_distribution([TopologyKind.PARALLEL], ["a"])
         text = format_distribution(table)

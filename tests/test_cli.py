@@ -822,6 +822,7 @@ class TestReport:
             ("group", ["a"]),
             ("group", {"a": 1}),
             ("group", 3),
+            ("group", "Average"),  # the mean row's name: its row would overwrite this group's
         ],
     )
     def test_run_records_with_bad_field_types_are_skipped(self, field, value, tmp_path, capsys):
@@ -897,6 +898,7 @@ def test_import_loads_only_the_stdlib_and_no_http(tmp_path):
     run = "from topoflow.cli import main; main({!r})".format
     route = modules_loaded_by(run(["route", os.path.join(FIXTURES, "diamond.json")]))
     assert "topoflow.routing" in route
+    assert "graphlib" not in route  # only an invalid DAG's cycle witness needs it
     engine = {f"topoflow.{m}" for m in ("accounting", "backends", "execution", "synthesis")}
     assert sorted(set(route) & (engine | {"topoflow.convergence"})) == []
     ratio = modules_loaded_by(run(["ratio", "--omega", "3", "--gamma", "0.4", "--k", "6", "--eps", "0.05"]))
@@ -1021,6 +1023,7 @@ MALFORMED_INPUTS = {
     "fixture-prompt-tokens-1e400": ("exec-fixture", b'{"v1": {"prompt_tokens": 1e400}}', 3),
     "fixture-latency-nan": ("exec-fixture", b'{"v1": {"latency": NaN}}', 3),
     "fixture-latency-negative": ("exec-fixture", fixture_entries(v1={"latency": -1}), 3),
+    "fixture-latency-huge-int": ("exec-fixture", fixture_entries(v1={"latency": 10**400}), 3),
     "fixture-latency-not-number": ("exec-fixture", fixture_entries(v1={"latency": "x"}), 3),
     # a cost past the float range would crash the ledger after every call was made
     "pricing-rate-1e308-string": ("exec-pricing", _pricing_rates(output_per_1m="1e308"), 2),

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +21,7 @@ from topoflow.dag import (
     validate_dag,
 )
 
-from conftest import make_dag, oracle_build_index, oracle_validate_dag, random_small_dag
+from conftest import make_dag, oracle_build_index, oracle_find_cycle, oracle_validate_dag, random_small_dag
 
 NAMES = ("a", "b", "c", "d", "e", "f", "")
 UNKNOWN = ("x", "y")
@@ -163,6 +164,16 @@ class TestValidateDag:
         report = validate_dag(dag)
         assert report == oracle_validate_dag(dag)
         assert report.violations == (Violation("cycle", "cycle c -> d -> c"),)
+
+    def test_ring_deeper_than_the_recursion_limit_is_named_whole(self):
+        n = 5000
+        assert n > sys.getrecursionlimit()
+        ids = [f"v{i:04d}" for i in range(n)]
+        edges = tuple((ids[i], ids[(i + 1) % n]) for i in range(n))
+        dag = TaskDag(tuple(Subtask(vid) for vid in ids), edges, dict.fromkeys(edges, 0.3))
+        witness = oracle_find_cycle(ids, edges)
+        assert witness == [*ids, ids[0]]
+        assert validate_dag(dag).violations == (Violation("cycle", "cycle " + " -> ".join(witness)),)
 
     @settings(max_examples=400, deadline=None)
     @given(flawed_dags())

@@ -13,9 +13,14 @@ The model is written from README's topology table, not from the engine:
 - the hierarchical lead makes an assign call before the first group and a
   reconcile call after the last, and a failed lead call stops the run at once;
 - each call is retried ``RETRIES`` times on a transient failure, with
-  backoffs of 0.5 s, 1.0 s, ... added to its reported latency.
+  backoffs of 0.5 s, 1.0 s, ... added to its reported latency;
+- with a context budget larger than all outputs together, a vertex's context
+  holds, as ``## vid`` sections, no output under parallel, those of its DAG
+  predecessors under sequential, and every output of the earlier groups under
+  hybrid and hierarchical.
 """
 
+import re
 import threading
 import time
 
@@ -97,6 +102,45 @@ def model(kind, order, limit, entries):
     return outputs, timings, group_timings, failures, clock
 
 
+def model_sources(dag, kind, order, outputs):
+    """The context sources of each vertex that the plan's groups reach, given
+    the vertices that produce an output."""
+    sources, earlier = {}, []
+    for group in order:
+        for vid in group:
+            if kind is TopologyKind.PARALLEL:
+                sources[vid] = []
+            elif kind is TopologyKind.SEQUENTIAL:
+                sources[vid] = sorted(p for p in dag.predecessors(vid) if p in outputs)
+            else:
+                sources[vid] = sorted(earlier)
+        earlier += [vid for vid in group if vid in outputs]
+    return sources
+
+
+def spy_on(backend):
+    """``backend``, with ``backend.sources`` recording the ``## vid`` sections
+    of the context of each vertex call, sorted, by vertex and in call order."""
+    invoke, backend.sources = backend.invoke, {}
+
+    def spied(instruction, context, *, tag=None):
+        if not tag.startswith("lead:"):
+            backend.sources.setdefault(tag, []).append(sorted(re.findall(r"^## (\S+)$", context, re.M)))
+        return invoke(instruction, context, tag=tag)
+
+    backend.invoke = spied
+    return backend
+
+
+def check_sources(dag, kind, order, backend, outputs, failures):
+    """Each vertex was called, once per attempt, with the sources the model gives it."""
+    expected = model_sources(dag, kind, order, outputs)
+    called = outputs | (failures - {"lead:assign", "lead:reconcile"})
+    assert set(backend.sources) == called
+    for vid, calls in backend.sources.items():
+        assert calls == [expected[vid]] * len(calls)
+
+
 @st.composite
 def scenarios(draw, *, transient=True):
     n = draw(st.integers(min_value=1, max_value=12))
@@ -117,9 +161,12 @@ def scenarios(draw, *, transient=True):
     return dag, kind, limit, entries
 
 
+BUDGET = 10**6  # more tokens than all outputs together, so a context holds all its sources
+
+
 def run(engine, dag, kind, backend):
     """The trace of one run, whether or not it raised."""
-    plan = make_plan(dag, kind, [backend])
+    plan = make_plan(dag, kind, [backend], context_budget=BUDGET)
     check_groups(dag, kind, plan.order)
     try:
         return plan, engine.run(dag, plan)
@@ -132,8 +179,10 @@ def run(engine, dag, kind, backend):
 def test_virtual_clock_matches_the_model(scenario):
     dag, kind, limit, entries = scenario
     engine = ExecutionEngine(concurrency_limit=limit, clock="virtual")
-    plan, trace = run(engine, dag, kind, ScriptedBackend(entries))
+    backend = spy_on(ScriptedBackend(entries))
+    plan, trace = run(engine, dag, kind, backend)
     outputs, timings, group_timings, failures, clock = model(kind, plan.order, limit, entries)
+    check_sources(dag, kind, plan.order, backend, outputs, failures)
     assert set(trace.outputs) == outputs
     assert {v: (t.start, t.finish) for v, t in trace.timings.items()} == timings
     assert trace.group_timings == group_timings
@@ -165,8 +214,10 @@ def test_wall_clock_matches_the_model_but_for_times(scenario, data):
         entry["latency"] = data.draw(TINY)
     threads = threading.active_count()
     engine = ExecutionEngine(concurrency_limit=limit, clock="wall")
-    plan, trace = run(engine, dag, kind, SleepingScripted(entries))
+    backend = spy_on(SleepingScripted(entries))
+    plan, trace = run(engine, dag, kind, backend)
     outputs, _, group_timings, failures, _ = model(kind, plan.order, limit, entries)
+    check_sources(dag, kind, plan.order, backend, outputs, failures)
     assert set(trace.outputs) == outputs
     assert set(trace.failures) == failures
     assert len(trace.group_timings) == len(group_timings)

@@ -4,9 +4,13 @@ code and never with a traceback.
 Each property starts from a valid document, applies one to three drawn
 mutations (delete a field or an element, replace any value with any JSON
 value, wrap the whole document in a list) and runs ``topoflow`` in-process.
-Covered so far: the two DAG inputs that ``topoflow route`` reads, decomposer
-records and the canonical document.  The numeric flags of ``ratio`` and
-``simulate`` are drawn too: any float or integer, spelt as on a command line.
+Covered: the two DAG inputs that ``topoflow route`` reads, decomposer records
+and the canonical document; the four other files that ``exec`` reads (its
+manifest, a scripted fixture, a router config and a pricing file), each beside
+valid others; a ``calibrate`` task file; and a ``run`` record of a ``report``
+log.  Exits 2 and 3 of these leave no new file or directory.  The numeric
+flags of ``ratio`` and ``simulate`` are drawn too: any float or integer, spelt
+as on a command line.
 """
 
 import contextlib
@@ -14,17 +18,20 @@ import io
 import json
 import os
 import shutil
+import tempfile
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from topoflow.archetypes import ArchetypeKind
 from topoflow.cli import main
 from topoflow.dag import load_dag, serialize_dag
+from topoflow.routing import RouterConfig
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 DIAMOND = os.path.join(FIXTURES, "diamond.json")
+SCRIPTED = os.path.join(FIXTURES, "scripted.json")
 
 # any JSON value, including what a strict reader would refuse: NaN,
 # infinities and integers too large for a float
@@ -122,6 +129,78 @@ def test_mutated_canonical_documents_exit_cleanly(scratch, doc):
     code, err = _route(scratch, doc)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+with open(SCRIPTED, encoding="utf-8") as _fh:
+    FIXTURE = json.load(_fh)
+# a valid instance of each other input kind: its file, relative to a run's
+# directory, and its document.  An ``exec`` run reads the manifest and the
+# files it names, ``calibrate`` a directory of tasks and ``report`` one of logs.
+EXEC_INPUTS = {
+    "manifest": ("manifest.json", {
+        "dag": "dag.json", "backend": "scripted:fixture.json", "router_config": "router.json",
+        "pricing": "pricing.json", "task": "evaluate two options", "concurrency": 2,
+        "context_budget": 4000, "theta_cs": 0.8, "output_dir": "out",
+    }),
+    "fixture": ("fixture.json", FIXTURE),
+    "router-config": ("router.json", RouterConfig().to_dict()),
+    "pricing": ("pricing.json", {
+        "as_of": "2026-01-01", "rates": {"scripted": {"input_per_1m": "0.5", "output_per_1m": "2"}},
+    }),
+}
+OTHER_INPUTS = {
+    "calibration-task": ("tasks/task.json", {
+        "dag": RECORDS, "scores": {"parallel": 0.5, "sequential": 0.9, "hierarchical": 0.4, "hybrid": 0.6},
+    }),
+    "run-record": ("logs/runs.jsonl", {
+        "type": "run", "total_tokens": 120, "cost_microdollars": 45, "cost_dollars": 4.5e-05,
+        "wall_clock": 0.3, "topology": "hybrid", "iterations": 2, "group": "code", "oracle_topology": "hybrid",
+    }),
+}
+INPUTS = {**EXEC_INPUTS, **OTHER_INPUTS}
+ARGV = {
+    **dict.fromkeys(EXEC_INPUTS, ["exec", "{d}/manifest.json"]),
+    "calibration-task": ["calibrate", "--tasks", "{d}/tasks", "--out", "{d}/out"],
+    "run-record": ["report", "--logs", "{d}/logs", "--out", "{d}/out"],
+}
+
+
+def _write_inputs(directory, kind, doc):
+    """Write valid inputs of ``kind``'s command into ``directory``, ``doc`` as
+    the input of ``kind``; return the command line."""
+    files = {"dag.json": RECORDS, **dict(EXEC_INPUTS.values())} if kind in EXEC_INPUTS else {}
+    files[INPUTS[kind][0]] = doc
+    for name, content in files.items():
+        path = os.path.join(directory, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(content, fh)  # on one line, so also one log record
+    return [arg.format(d=directory) for arg in ARGV[kind]]
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+def test_valid_inputs_run(kind, tmp_path):
+    assert _run(_write_inputs(str(tmp_path), kind, INPUTS[kind][1])) == (0, "")
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_exit_cleanly(scratch, kind, data):
+    doc = data.draw(mutated(INPUTS[kind][1]), label="doc")
+    if kind == "manifest" and isinstance(doc, dict) and isinstance(doc.get("output_dir"), str):
+        assume(not os.path.isabs(doc["output_dir"]))  # it would write outside the run's directory
+    directory = tempfile.mkdtemp(dir=scratch)
+    try:
+        argv = _write_inputs(directory, kind, doc)
+        inputs = sorted(os.listdir(directory))
+        code, err = _run(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code in (2, 3):
+            assert sorted(os.listdir(directory)) == inputs
+    finally:
+        shutil.rmtree(directory)
 
 
 # a number flag's text: finite, huge, subnormal and non-finite floats, and

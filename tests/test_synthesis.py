@@ -209,10 +209,10 @@ class TestSparseExactness:
         texts = []
         build = emb.build_sparse
         monkeypatch.setattr(emb, "build_sparse", lambda text: texts.append(text) or build(text))
-        for text in ("a", "b", "c", "a", "c"):
+        for text in ("a", "b", "a", "c", "a"):
             emb.sparse(text)
-        # the memo is emptied when full, so "a" is built again after "c"
-        assert texts == ["a", "b", "c", "a"]
+        # the memo evicts the least recently used text: "b", which "c" replaces, not "a"
+        assert texts == ["a", "b", "c"]
 
 
 class TestIterationBound:
