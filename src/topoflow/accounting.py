@@ -16,6 +16,7 @@ from importlib import resources
 from typing import TYPE_CHECKING
 
 from .routing import TOPOLOGY_ORDER, TopologyKind
+from .runlog import record_of
 
 if TYPE_CHECKING:
     from .backends import AgentOutput
@@ -138,15 +139,7 @@ class CostLedger:
     def to_record(self) -> dict:
         return {
             "pricing_as_of": self.pricing.as_of,
-            "entries": [
-                {
-                    "backend": e.backend,
-                    "prompt_tokens": e.prompt_tokens,
-                    "completion_tokens": e.completion_tokens,
-                    "phase": e.phase.value,
-                }
-                for e in self.entries
-            ],
+            "entries": [record_of(e) for e in self.entries],
             "total_tokens": self.total_tokens,
             "cost_microdollars": self.cost_microdollars(),
         }
@@ -162,12 +155,9 @@ class RunReport:
 
     def to_record(self) -> dict:
         return {
-            "total_tokens": self.total_tokens,
-            "cost_microdollars": self.cost_microdollars,
+            **record_of(self),
             "cost_dollars": self.cost_microdollars / MICRO_PER_DOLLAR,
             "wall_clock": round(self.wall_clock, 9),
-            "topology": self.topology.value,
-            "iterations": self.iterations,
         }
 
 

@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import select
-import sys
 import threading
 import time
 import urllib.parse
@@ -87,6 +86,7 @@ class MockBackend(AgentBackend):
 
 
 MAX_TOKEN_COUNT = 10**12  # per call, as a fixture or a provider reports it
+MAX_LATENCY_S = 10**6  # per scripted call: a run's sum stays finite below 10**302 calls
 
 
 def _count(value) -> bool:
@@ -104,8 +104,7 @@ _FIXTURE_FIELDS = {
     "prompt_tokens": (_tokens, f"an integer in [0, {MAX_TOKEN_COUNT}]"),
     "completion_tokens": (_tokens, f"an integer in [0, {MAX_TOKEN_COUNT}]"),
     "fail_times": (_count, "a non-negative integer"),
-    # an int past the float range compares below infinity, not below the largest float
-    "latency": (lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max, "a finite number of at least 0"),
+    "latency": (lambda v: type(v) in (int, float) and 0 <= v <= MAX_LATENCY_S, f"a number in [0, {MAX_LATENCY_S}]"),
 }
 
 
@@ -293,6 +292,8 @@ class HttpChatBackend(AgentBackend):
                 usage = body.get("usage", {})
                 prompt_tokens = int(usage.get("prompt_tokens", 0))
                 completion_tokens = int(usage.get("completion_tokens", 0))
+            if not isinstance(text, str):  # an OpenAI-style "content": null, say
+                raise TypeError(f"reply text {text!r} is not a string")
             if not (_tokens(prompt_tokens) and _tokens(completion_tokens)):
                 raise ValueError(f"usage {prompt_tokens}, {completion_tokens} out of [0, {MAX_TOKEN_COUNT}]")
         except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:

@@ -20,6 +20,7 @@ from .archetypes import ArchetypeKind, DagArchetype, draw_couplings, generate_ar
 from .dag import TaskDag
 from .metrics import DagMetrics, WidthMode, compute_metrics
 from .routing import TOPOLOGY_ORDER, RouterConfig, TopologyKind, route
+from .runlog import record_of
 
 S_STAR = 0.9  # fixed quality anchor; the bound is location-invariant
 DEFAULT_C_TAU = 0.5
@@ -228,19 +229,7 @@ class SimResult:
     metadata: dict = field(default_factory=lambda: dict(SIM_METADATA))
 
     def summary(self) -> dict:
-        return {
-            "var_model": self.var_model,
-            "var_topology": self.var_topology,
-            "ratio": self.ratio,
-            "bound": self.bound,
-            "mean_omega": self.mean_omega,
-            "mean_gamma": self.mean_gamma,
-            "k": self.k,
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "satisfies_bound": self.ratio >= self.bound,
-            "metadata": self.metadata,
-        }
+        return {**record_of(self, "rows"), "satisfies_bound": self.ratio >= self.bound}
 
 
 def _variance(values: list[float]) -> float:

@@ -16,6 +16,8 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .runlog import record_of
+
 DEFAULT_WEIGHT = 500.0
 
 
@@ -322,15 +324,7 @@ def parse_decomposition(records: Sequence[Mapping]) -> TaskDag:
 def serialize_dag(dag: TaskDag) -> dict:
     """Canonical JSON-ready form with explicit per-edge couplings."""
     return {
-        "vertices": [
-            {
-                "id": v.id,
-                "description": v.description,
-                "weight": v.weight,
-                "declared_coupling": v.declared_coupling.value,
-            }
-            for v in dag.vertices
-        ],
+        "vertices": [record_of(v) for v in dag.vertices],
         "edges": [
             {"source": u, "target": v, "coupling": dag.coupling[(u, v)]}
             for (u, v) in dag.edges

@@ -22,6 +22,7 @@ from typing import Sequence
 from .backends import AgentBackend, AgentOutput, BackendError
 from .dag import Subtask, TaskDag
 from .routing import RouterConfig, RoutingDecision, TopologyKind, route
+from .runlog import record_of
 from .synthesis import DEFAULT_THETA_CS, Embedder, HashedEmbedder, SynthesisConfig, SynthesisError, SynthesisResult
 from .synthesis import _sparse_cosine, _template, synthesize
 from .synthesis import cosine  # noqa: F401  (the dense reference; perfbench's self-test patches this binding)
@@ -64,20 +65,14 @@ class ExecutionTrace:
 
     def to_record(self) -> dict:
         def out_rec(out: AgentOutput) -> dict:
-            return {
-                "text": out.text,
-                "prompt_tokens": out.prompt_tokens,
-                "completion_tokens": out.completion_tokens,
-                "latency": round(out.latency, 9),
-                "backend": out.backend,
-            }
+            return {**record_of(out, "subtask_id"), "latency": round(out.latency, 9)}
 
         return {
             "outputs": {vid: out_rec(o) for vid, o in sorted(self.outputs.items())},
             "lead": {phase: out_rec(o) for phase, o in sorted(self.lead.items())},
             "wall_clock": round(self.wall_clock, 9),
             "group_timings": [round(t, 9) for t in self.group_timings],
-            "edge_violations": sorted(self.edge_violations),
+            "edge_violations": [list(e) for e in sorted(self.edge_violations)],
             "failures": dict(sorted(self.failures.items())),
         }
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 
 from .dag import _NUMBER_TYPES, ParseError, TaskDag, ingest
 from .metrics import DagMetrics, WidthMode, compute_metrics
+from .runlog import record_of
 
 DEFAULT_THETA_OMEGA = 0.5
 DEFAULT_THETA_GAMMA = 0.6
@@ -81,12 +82,7 @@ class RouterConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "theta_omega": self.theta_omega,
-            "theta_gamma": self.theta_gamma,
-            "theta_delta": self.theta_delta,
-            "width_mode": self.width_mode.value,
-        }
+        return record_of(self)
 
 
 @dataclass(frozen=True)
@@ -100,21 +96,11 @@ class RoutingDecision:
     stages: tuple[tuple[str, ...], ...] | None = None
 
     def to_record(self) -> dict:
+        """Every field but ``elapsed``, which varies between runs of the same input."""
         return {
-            "topology": self.topology.value,
+            **record_of(self, "elapsed"),
+            "metrics": record_of(self.metrics),
             "stages": [list(s) for s in self.stages] if self.stages else None,
-            "fired_rule": self.fired_rule.value,
-            "gamma_used": self.gamma_used,
-            "metrics": {
-                "width_exact": self.metrics.width_exact,
-                "width_approx": self.metrics.width_approx,
-                "depth": self.metrics.depth,
-                "coupling_density": self.metrics.coupling_density,
-                "parallelism_ratio": self.metrics.parallelism_ratio,
-                "vertex_count": self.metrics.vertex_count,
-                "edge_count": self.metrics.edge_count,
-                "width_mode": self.metrics.width_mode.value,
-            },
         }
 
 

@@ -7,11 +7,18 @@ leaves a half-written artifact.  Log records are JSON objects with a
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import tempfile
 
 SCHEMA_VERSION = 1
+
+
+def record_of(obj, *drop: str) -> dict:
+    """A dataclass instance's fields by name, but those in ``drop``, with each
+    enum as its value.  Shallow: a nested dataclass is the caller's to convert."""
+    return {k: v.value if isinstance(v, enum.Enum) else v for k, v in vars(obj).items() if k not in drop}
 
 
 def dumps(record: dict) -> str:

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 from .backends import AgentBackend, AgentOutput, BackendError
 from .routing import TopologyKind
+from .runlog import record_of
 
 GAMMA_STEP = 0.2
 DEFAULT_THETA_CS = 0.8
@@ -185,11 +186,9 @@ class SynthesisResult:
 
     def to_record(self) -> dict:
         return {
-            "consistency": self.consistency,
-            "iterations": self.iterations,
+            **record_of(self, "final_text"),
             "route_trail": [[g, k.value] for g, k in self.route_trail],
             "escalated": self.path in (SynthesisPath.ARBITER, SynthesisPath.ESCALATED),
-            "path": self.path.value,
         }
 
 

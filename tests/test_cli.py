@@ -1025,6 +1025,10 @@ MALFORMED_INPUTS = {
     "fixture-latency-negative": ("exec-fixture", fixture_entries(v1={"latency": -1}), 3),
     "fixture-latency-huge-int": ("exec-fixture", fixture_entries(v1={"latency": 10**400}), 3),
     "fixture-latency-not-number": ("exec-fixture", fixture_entries(v1={"latency": "x"}), 3),
+    # each latency finite, but their sum, the run's wall clock, past the float range
+    "fixture-latency-sum-overflow": (
+        "exec-fixture", fixture_entries(v0={"latency": 1e308}, v3={"latency": 1e308}), 3,
+    ),
     # a cost past the float range would crash the ledger after every call was made
     "pricing-rate-1e308-string": ("exec-pricing", _pricing_rates(output_per_1m="1e308"), 2),
     "pricing-rate-1e308-number": ("exec-pricing", _pricing_rates(output_per_1m=1e308), 2),

@@ -189,11 +189,21 @@ class TestHttpChatBackend:
             {**OK_BODY, "usage": {"prompt_tokens": 10**12 + 1, "completion_tokens": 1}},
             {**OK_BODY, "usage": {"prompt_tokens": 1, "completion_tokens": -1}},
             '{"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": 1e400}}',
+            # a reply that is not a string, which the embedder and the artefacts could not read
+            *({**OK_BODY, "choices": [{"message": {"content": content}}]} for content in (None, ["ok"], 5)),
         ],
     )
     def test_malformed_body_is_permanent_backend_error(self, body):
-        with pytest.raises(BackendError) as ei:
+        with pytest.raises(BackendError, match="malformed response body") as ei:
             self.backend(200, body).invoke("do x", "")
+        assert not ei.value.transient
+
+    def test_anthropic_block_text_that_is_not_a_string_is_a_malformed_body(self, monkeypatch):
+        monkeypatch.setenv("ANTHROPIC_API_KEY", "anthropic-key")
+        body = {"content": [{"type": "text", "text": 5}], "usage": {"input_tokens": 9, "output_tokens": 3}}
+        conn = FakeConnection(FakeResponse(200, body))
+        with pytest.raises(BackendError, match="malformed response body") as ei:
+            HttpChatBackend("anthropic", "test-model", connect=lambda: conn).invoke("do x", "")
         assert not ei.value.transient
 
     def test_rate_limit_is_transient(self):
@@ -725,6 +735,16 @@ class TestRunTask:
         assert run.result is None and len(run.routes) == len(run.traces) == 1
         assert list(run.traces[-1].failures) == ["v1"]
         assert sorted(run.traces[-1].outputs) == ["v0", "v2"]
+
+    def test_null_http_reply_fails_the_call_that_got_it(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        body = {**OK_BODY, "choices": [{"message": {"content": None}}]}
+        connect = lambda: FakeConnection(FakeResponse(200, body))
+        run = self.run(HttpChatBackend("openai", "gpt-4o-mini", connect=connect))
+        assert run.failure == "execute: failed vertices ['v0']"
+        assert run.result is None and len(run.routes) == len(run.traces) == 1
+        [(vid, message)] = run.traces[-1].failures.items()
+        assert vid == "v0" and "malformed response body" in message
 
     def test_synthesis_failure_after_a_reroute_keeps_the_paid_arbiter_call(self):
         arbiter_calls = []

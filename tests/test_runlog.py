@@ -2,7 +2,17 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from topoflow.accounting import CostLedger, Phase, PricingTable, RunReport
+from topoflow.archetypes import ArchetypeKind, DagArchetype
+from topoflow.backends import ScriptedBackend
+from topoflow.convergence import SimConfig, simulate_variance
+from topoflow.dag import load_dag, serialize_dag
+from topoflow.execution import run_task
+from topoflow.metrics import WidthMode
+from topoflow.routing import RouterConfig, TopologyKind, route
 from topoflow.runlog import (
     SCHEMA_VERSION,
     atomic_write,
@@ -11,6 +21,9 @@ from topoflow.runlog import (
     write_json,
     write_jsonl,
 )
+
+from conftest import make_dag
+from test_cli import FIXTURES, fixture_entries
 
 
 class TestAtomicWrite:
@@ -84,3 +97,78 @@ class TestJsonAndCsv:
         p = tmp_path / "t.csv"
         write_csv(str(p), ["x", "y"], [{"x": 1, "y": 2}])
         assert p.read_text() == "x,y\n1,2\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def reordered(value, rng):
+    """``value`` with the keys of every object in it, at any depth, inserted in a shuffled order."""
+    if isinstance(value, dict):
+        keys = list(value)
+        rng.shuffle(keys)
+        return {k: reordered(value[k], rng) for k in keys}
+    if isinstance(value, list):
+        return [reordered(v, rng) for v in value]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=6), rng=st.randoms(use_true_random=False))
+def test_written_bytes_do_not_follow_key_insertion_order(tmp_path_factory, record, rng):
+    # records are built field by field from their dataclasses, so only the sorted keys keep a file's bytes
+    shuffled = reordered(record, rng)
+    out = tmp_path_factory.mktemp("keys")
+    written = []
+    for name, rec in (("a", record), ("b", shuffled)):
+        write_json(str(out / f"{name}.json"), rec)
+        write_jsonl(str(out / f"{name}.jsonl"), [rec, rec])
+        written.append(((out / f"{name}.json").read_bytes(), (out / f"{name}.jsonl").read_bytes()))
+    assert written[0] == written[1]
+
+
+def every_record():
+    """One record of each kind that topoflow writes, by name."""
+    diamond = load_dag(os.path.join(FIXTURES, "diamond.json"))
+    dags = {
+        TopologyKind.PARALLEL: make_dag(3, []),
+        TopologyKind.SEQUENTIAL: make_dag(3, [(0, 1), (1, 2)]),
+        TopologyKind.HIERARCHICAL: make_dag(6, [(0, i) for i in range(1, 6)], default_coupling=1.0),
+        TopologyKind.HYBRID: diamond,
+    }
+    records = {}
+    for kind, dag in dags.items():
+        decision = route(dag, RouterConfig(width_mode=WidthMode.EXACT))
+        assert decision.topology is kind
+        records[f"route-{kind.value}"] = decision.to_record()
+    run = run_task(diamond, [ScriptedBackend(fixture_entries())])
+    trace = run.traces[-1]
+    trace.edge_violations.append(("v0", "v1"))  # a pair, which JSON reads back as a list
+    ledger = CostLedger(PricingTable.default())
+    for out in trace.ordered_outputs():
+        ledger.record(out, Phase.EXECUTE)
+    report = RunReport(total_tokens=1, cost_microdollars=2, wall_clock=0.1, topology=TopologyKind.HYBRID, iterations=3)
+    sim = simulate_variance(SimConfig(archetype=DagArchetype(ArchetypeKind.DIAMOND, 6), epsilon=0.05, trials=3))
+    return {
+        **records,
+        "trace": trace.to_record(),
+        "ledger": ledger.to_record(),
+        "run": report.to_record(),
+        "synthesis": run.result.to_record(),
+        "simulate-summary": sim.summary(),
+        "frozen-config": RouterConfig(theta_gamma=0.4, width_mode=WidthMode.EXACT).to_dict(),
+        "serialized-dag": serialize_dag(diamond),
+    }
+
+
+def test_every_record_is_plain_json_data():
+    # an enum or a tuple left in a record would not read back equal
+    records = every_record()
+    for name, rec in records.items():
+        assert json.loads(json.dumps(rec)) == rec, name
+    for kind in TopologyKind:
+        assert "elapsed" not in records[f"route-{kind.value}"]
