@@ -282,21 +282,21 @@ class HttpChatBackend(AgentBackend):
             raise BackendError(f"{self.identity}: HTTP {status}: {raw.decode('utf-8', 'replace')[:200]}")
         try:
             body = json.loads(raw)
+            usage = body.get("usage", {})
             if self.spec.style == "anthropic":
-                text = "".join(block.get("text", "") for block in body.get("content", []))
-                usage = body.get("usage", {})
-                prompt_tokens = int(usage.get("input_tokens", 0))
-                completion_tokens = int(usage.get("output_tokens", 0))
+                blocks = body["content"]
+                if not isinstance(blocks, list):
+                    raise TypeError(f"content {blocks!r} is not a list of blocks")
+                text = "".join(block.get("text", "") for block in blocks)
+                prompt_tokens, completion_tokens = usage.get("input_tokens", 0), usage.get("output_tokens", 0)
             else:
                 text = body["choices"][0]["message"]["content"]
-                usage = body.get("usage", {})
-                prompt_tokens = int(usage.get("prompt_tokens", 0))
-                completion_tokens = int(usage.get("completion_tokens", 0))
+                prompt_tokens, completion_tokens = usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
             if not isinstance(text, str):  # an OpenAI-style "content": null, say
                 raise TypeError(f"reply text {text!r} is not a string")
-            if not (_tokens(prompt_tokens) and _tokens(completion_tokens)):
-                raise ValueError(f"usage {prompt_tokens}, {completion_tokens} out of [0, {MAX_TOKEN_COUNT}]")
-        except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
+            if not (_tokens(prompt_tokens) and _tokens(completion_tokens)):  # JSON integers, as reported
+                raise ValueError(f"usage {prompt_tokens!r}, {completion_tokens!r} out of [0, {MAX_TOKEN_COUNT}]")
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
             # a 200 with a body we cannot read will not read better on retry
             raise BackendError(f"{self.identity}: malformed response body: {exc!r}") from exc
         return AgentOutput(

@@ -2,7 +2,7 @@
 
 Agent invocations run under a bounded worker limit.  The engine supports two
 clocks: "wall" measures real time on one thread pool per run, whose workers
-(and so each worker's backend connection) serve every group; "virtual"
+(and so each worker's backend connection) serve every call; "virtual"
 executes invocations deterministically in schedule order and computes the
 makespan from backend-reported latencies, which keeps traces
 byte-reproducible with mock and scripted backends.  ``run_task`` is the
@@ -102,6 +102,8 @@ def make_plan(
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> ExecutionPlan:
     """Build the concrete schedule for a routed topology."""
+    if context_budget <= 0:
+        raise ValueError(f"context_budget must be positive, got {context_budget!r}")
     index = dag.index
     assignments = assign_agents(dag, pool)
     if topology is TopologyKind.PARALLEL:
@@ -186,62 +188,75 @@ class ExecutionEngine:
         in ``edge_violations``.  Under hierarchical the lead, the first
         vertex's backend and so the pool's first, makes an assign call before
         the first group and a reconcile call, with a failure notice per failed
-        vertex, after the last; a failed lead call raises at once, with its
-        tag (``lead:assign`` or ``lead:reconcile``) among the failures.
-        "Raise" is ``ExecutionFailure`` with the partial trace.
+        vertex, after the last.  Each lead call is a one-call group on the
+        same runner, outside ``group_timings``; a failed one raises at once,
+        with its tag (``lead:assign`` or ``lead:reconcile``) among the
+        failures.  "Raise" is ``ExecutionFailure`` with the partial trace.
         """
         kind = plan.topology
         hierarchical = kind is TopologyKind.HIERARCHICAL
+        shared = kind in (TopologyKind.HYBRID, TopologyKind.HIERARCHICAL)
         trace = ExecutionTrace()
         glob = (
             f"{self.task_text}\n\nThis subtask is part of a plan of {len(plan.assignments)} "
             f"subtasks executed with the {kind.value} topology in {len(plan.order)} group(s)."
         ).strip()
-        cursor = 0.0
-        if hierarchical:
-            lead = next(iter(plan.assignments.values()))
-            subtask_list = "\n".join(
-                f"- {v.id}: {v.description or v.id}"
-                f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
-                for v in sorted(dag.vertices, key=lambda s: s.id)
-            )
-            cursor = self._lead_call(
-                trace, lead, "assign", LEAD_ASSIGN_PREFIX + subtask_list, glob, cursor
-            )
-        shared = kind in (TopologyKind.HYBRID, TopologyKind.HIERARCHICAL)
         workers = nullcontext()
         if self.clock == "wall":
             from concurrent.futures import ThreadPoolExecutor  # here, so that offline runs load neither it nor logging
 
             workers = ThreadPoolExecutor(self.concurrency_limit)
         with workers as pool:
+            def lead_call(phase: str, instruction: str, context: str) -> None:
+                tag = f"lead:{phase}"
+                [(_, out, _, _)], trace.wall_clock = self._run_group(
+                    {tag: (lead, instruction, context)}, trace.wall_clock, pool
+                )
+                if isinstance(out, BackendError):
+                    trace.failures[tag] = str(out)
+                    raise ExecutionFailure(dict(trace.failures), trace) from out
+                trace.lead[phase] = out.with_subtask(tag)
+
+            if hierarchical:
+                lead = next(iter(plan.assignments.values()))
+                subtask_list = "\n".join(
+                    f"- {v.id}: {v.description or v.id}"
+                    f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
+                    for v in sorted(dag.vertices, key=lambda s: s.id)
+                )
+                lead_call("assign", LEAD_ASSIGN_PREFIX + subtask_list, glob)
             for group in plan.order:
+                # in id order, so that merge_context's sort finds one run when cosines tie (mock outputs all do)
                 earlier = [trace.outputs[v] for v in sorted(trace.outputs)] if shared else []
-                prompts = {}
+                calls = {}
                 for vid in group:
                     sub = dag.subtask(vid)
                     sources = earlier
                     if kind is TopologyKind.SEQUENTIAL:
-                        sources = [trace.outputs[p] for p in sorted(dag.predecessors(vid)) if p in trace.outputs]
+                        sources = [trace.outputs[p] for p in dag.predecessors(vid) if p in trace.outputs]
                     merged = merge_context(sources, sub, plan.context_budget, self.embedder)
-                    prompts[vid] = (sub.description or sub.id, f"{glob}\n\n{merged}".strip() if merged else glob)
-                if prompts:
-                    group_end = self._run_group(trace, plan, prompts, cursor, pool)
-                    trace.group_timings.append(group_end - cursor)
-                    cursor = group_end
+                    calls[vid] = (plan.assignments[vid], sub.description or sub.id,
+                                  f"{glob}\n\n{merged}".strip() if merged else glob)
+                if calls:
+                    results, end = self._run_group(calls, trace.wall_clock, pool)
+                    trace.group_timings.append(end - trace.wall_clock)
+                    trace.wall_clock = end
+                    for vid, out, start, finish in results:
+                        if isinstance(out, BackendError):
+                            trace.failures[vid] = str(out)
+                        else:
+                            trace.outputs[vid] = out.with_subtask(vid)
+                            trace.timings[vid] = VertexTiming(start=start, finish=finish)
                 if trace.failures and not hierarchical:
                     break
-        if hierarchical:
-            sections = [
-                f"## {vid}\n{trace.outputs[vid].text}"
-                if vid in trace.outputs
-                else f"## {vid}\nFAILURE NOTICE: {trace.failures.get(vid, 'no output')}"
-                for vid in sorted(dag.vertex_ids)
-            ]
-            cursor = self._lead_call(
-                trace, lead, "reconcile", LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "", cursor
-            )
-        trace.wall_clock = cursor
+            if hierarchical:
+                sections = [
+                    f"## {vid}\n{trace.outputs[vid].text}"
+                    if vid in trace.outputs
+                    else f"## {vid}\nFAILURE NOTICE: {trace.failures.get(vid, 'no output')}"
+                    for vid in sorted(dag.vertex_ids)
+                ]
+                lead_call("reconcile", LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "")
         if kind is TopologyKind.PARALLEL:
             for u, v in dag.edges:
                 tu, tv = trace.timings.get(u), trace.timings.get(v)
@@ -271,56 +286,37 @@ class ExecutionEngine:
         # retried calls carry their backoff in the reported latency
         return replace(out, latency=out.latency + backoff) if backoff else out
 
-    def _lead_call(
-        self, trace: ExecutionTrace, lead: AgentBackend, phase: str, instruction: str,
-        context: str, cursor: float,
-    ) -> float:
-        """One lead call, recorded in ``trace``; returns the clock after it."""
-        tag = f"lead:{phase}"
-        try:
-            out = self._invoke_with_retry(lead, instruction, context, tag=tag)
-        except BackendError as exc:
-            trace.failures[tag] = str(exc)
-            trace.wall_clock = cursor
-            raise ExecutionFailure(dict(trace.failures), trace) from exc
-        trace.lead[phase] = out.with_subtask(tag)
-        return cursor + out.latency
-
-    def _run_group(self, trace, plan, prompts, group_start, pool) -> float:
-        """Run ``prompts`` (vid -> (instruction, context)) concurrently on
-        ``pool``, or in schedule order without one; record outputs, timings and
-        ``BackendError`` failures in ``trace``; return the group's end.
-
-        The virtual clock takes each vertex's start from the earliest free of
-        ``concurrency_limit`` simulated workers and its finish from the
-        backend-reported latency; the wall clock measures both.
+    def _run_group(self, calls, start, pool):
+        """The engine's one call path: run ``calls`` (tag -> (backend,
+        instruction, context)) concurrently on ``pool``, or in order without
+        one; return each call's ``(tag, output or BackendError, start,
+        finish)`` and the group's end.  The virtual clock takes a call's start
+        from the earliest free of ``concurrency_limit`` simulated workers and
+        its finish from the backend-reported latency (a failed call frees its
+        worker at once); the wall clock measures both.
         """
         t0 = time.monotonic()
 
         def call(item):
-            vid, (instruction, context) = item
-            start = time.monotonic()
+            tag, (backend, instruction, context) = item
+            began = time.monotonic()
             try:
-                out = self._invoke_with_retry(plan.assignments[vid], instruction, context, tag=vid)
+                out = self._invoke_with_retry(backend, instruction, context, tag=tag)
             except BackendError as exc:
                 out = exc
-            return vid, out, start - t0 + group_start, time.monotonic() - t0 + group_start
+            return tag, out, began - t0 + start, time.monotonic() - t0 + start
 
-        workers = [group_start] * min(self.concurrency_limit, len(prompts))
-        group_end = group_start
-        for vid, out, start, finish in (map if pool is None else pool.map)(call, prompts.items()):
-            failed = isinstance(out, BackendError)
-            if pool is None:
-                start = heapq.heappop(workers)
-                finish = start if failed else start + out.latency
-                heapq.heappush(workers, finish)
-                group_end = max(group_end, finish)
-            if failed:
-                trace.failures[vid] = str(out)
-            else:
-                trace.outputs[vid] = out.with_subtask(vid)
-                trace.timings[vid] = VertexTiming(start=start, finish=finish)
-        return group_end if pool is None else time.monotonic() - t0 + group_start
+        if pool is not None:
+            results = list(pool.map(call, calls.items()))
+            return results, time.monotonic() - t0 + start
+        results = list(map(call, calls.items()))
+        workers = [start] * min(self.concurrency_limit, len(calls))
+        for i, (tag, out, _, _) in enumerate(results):
+            began = heapq.heappop(workers)
+            finish = began if isinstance(out, BackendError) else began + out.latency
+            heapq.heappush(workers, finish)
+            results[i] = tag, out, began, finish
+        return results, max(workers)
 
 
 @dataclass
@@ -356,6 +352,7 @@ def run_task(
     ``traces``.
     """
     engine = ExecutionEngine(concurrency_limit=concurrency, clock=clock, task_text=task)
+    config = SynthesisConfig(theta_cs=theta_cs)  # a bad argument fails here, before any paid call
     run = TaskRun()
 
     def execute(gamma: float | None = None) -> tuple[list[str], TopologyKind]:
@@ -373,7 +370,7 @@ def run_task(
         run.result = synthesize(
             texts,
             topology,
-            SynthesisConfig(theta_cs=theta_cs, gamma0=run.routes[0].gamma_used),
+            replace(config, gamma0=run.routes[0].gamma_used),
             SimpleNamespace(invoke=partial(engine._invoke_with_retry, pool[0])),  # pool[0] behind the retry
             reroute=execute,
             embedder=engine.embedder,

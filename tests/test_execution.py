@@ -191,6 +191,8 @@ class TestHttpChatBackend:
             '{"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": 1e400}}',
             # a reply that is not a string, which the embedder and the artefacts could not read
             *({**OK_BODY, "choices": [{"message": {"content": content}}]} for content in (None, ["ok"], 5)),
+            # usage counts are taken as reported: a count that is not a JSON integer is not rounded or parsed
+            *({**OK_BODY, "usage": {"prompt_tokens": count, "completion_tokens": 1}} for count in (1.9, "7", True)),
         ],
     )
     def test_malformed_body_is_permanent_backend_error(self, body):
@@ -201,6 +203,24 @@ class TestHttpChatBackend:
     def test_anthropic_block_text_that_is_not_a_string_is_a_malformed_body(self, monkeypatch):
         monkeypatch.setenv("ANTHROPIC_API_KEY", "anthropic-key")
         body = {"content": [{"type": "text", "text": 5}], "usage": {"input_tokens": 9, "output_tokens": 3}}
+        conn = FakeConnection(FakeResponse(200, body))
+        with pytest.raises(BackendError, match="malformed response body") as ei:
+            HttpChatBackend("anthropic", "test-model", connect=lambda: conn).invoke("do x", "")
+        assert not ei.value.transient
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"content": {}, "usage": {"input_tokens": 9, "output_tokens": 3}},  # not a list of blocks
+            {"usage": {"input_tokens": 9, "output_tokens": 3}},  # no content at all
+            *(
+                {"content": [{"type": "text", "text": "ok"}], "usage": {"input_tokens": count, "output_tokens": 3}}
+                for count in (1.9, "7", True)
+            ),
+        ],
+    )
+    def test_anthropic_malformed_body_is_permanent_backend_error(self, monkeypatch, body):
+        monkeypatch.setenv("ANTHROPIC_API_KEY", "anthropic-key")
         conn = FakeConnection(FakeResponse(200, body))
         with pytest.raises(BackendError, match="malformed response body") as ei:
             HttpChatBackend("anthropic", "test-model", connect=lambda: conn).invoke("do x", "")
@@ -296,7 +316,7 @@ class TestHttpChatBackend:
         assert [len(conn.threads) for conn in made] == [1, 1, 1, 1]
         assert len(set().union(*(conn.threads for conn in made))) == 4
 
-    @pytest.mark.parametrize("topology", [SEQUENTIAL, TopologyKind.HYBRID])
+    @pytest.mark.parametrize("topology", [SEQUENTIAL, TopologyKind.HYBRID, HIERARCHICAL])
     def test_wall_clock_run_keeps_one_connection_across_groups(self, topology):
         made = []
 
@@ -317,7 +337,8 @@ class TestHttpChatBackend:
         finally:
             sys.setswitchinterval(interval)
         assert len(trace.outputs) == 6
-        assert len(made) == 1 and made[0].sent == 6
+        lead_calls = 2 if topology is HIERARCHICAL else 0  # the lead's assign and reconcile
+        assert len(made) == 1 and made[0].sent == 6 + lead_calls
 
     @pytest.fixture
     def no_proxy_env(self, monkeypatch):
@@ -574,27 +595,30 @@ class TestHierarchical:
         assert "v2" in trace.failures
 
     def test_lead_failure_is_fatal(self, diamond):
-        lead = ScriptedBackend({"lead:assign": {"fail": True}})
-        plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
-        with pytest.raises(ExecutionFailure) as info:
-            ExecutionEngine(clock="virtual").run(diamond, plan)
-        assert list(info.value.failed) == ["lead:assign"]
-        assert info.value.trace.outputs == {} and info.value.trace.lead == {}
+        for clock in ("virtual", "wall"):
+            lead = ScriptedBackend({"lead:assign": {"fail": True}})
+            plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
+            with pytest.raises(ExecutionFailure) as info:
+                ExecutionEngine(clock=clock).run(diamond, plan)
+            assert list(info.value.failed) == ["lead:assign"]
+            assert info.value.trace.outputs == {} and info.value.trace.lead == {}
 
     def test_reconcile_failure_keeps_partial_trace(self, diamond):
-        lead = ScriptedBackend(
-            {"lead:assign": {"text": "plan"}, "lead:reconcile": {"fail": True}, "default": {"text": "ok"}}
-        )
-        plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
-        with pytest.raises(ExecutionFailure) as info:
-            ExecutionEngine(clock="virtual").run(diamond, plan)
-        trace = info.value.trace
-        assert list(info.value.failed) == ["lead:reconcile"]
-        assert sorted(trace.outputs) == ["v0", "v1", "v2", "v3"]
-        assert trace.lead["assign"].text == "plan"
-        assert "lead:reconcile" in trace.to_record()["failures"]
-        # the clock stops after the last layer: assign plus three layers of 0.1
-        assert trace.wall_clock == pytest.approx(0.1 + 0.3)
+        for clock in ("virtual", "wall"):
+            lead = ScriptedBackend(
+                {"lead:assign": {"text": "plan"}, "lead:reconcile": {"fail": True}, "default": {"text": "ok"}}
+            )
+            plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
+            with pytest.raises(ExecutionFailure) as info:
+                ExecutionEngine(clock=clock).run(diamond, plan)
+            trace = info.value.trace
+            assert list(info.value.failed) == ["lead:reconcile"]
+            assert sorted(trace.outputs) == ["v0", "v1", "v2", "v3"]
+            assert trace.lead["assign"].text == "plan"
+            assert "lead:reconcile" in trace.to_record()["failures"]
+            if clock == "virtual":
+                # the clock stops after the last layer: assign plus three layers of 0.1
+                assert trace.wall_clock == pytest.approx(0.1 + 0.3)
 
 
 class TestWallClock:
@@ -761,6 +785,22 @@ class TestRunTask:
         assert run.failure == "synthesize: arbiter agent failed: arbiter outage"
         assert run.result is None and len(run.routes) == len(run.traces) == 2
         assert [(c.subtask_id, c.completion_tokens) for c in run.synthesis_calls] == [("arbiter", 30)]
+
+    @pytest.mark.parametrize("bad", [{"theta_cs": 1.5}, {"context_budget": 0}])
+    def test_bad_argument_fails_before_any_agent_call(self, bad):
+        # hierarchical, whose lead assign call comes before any context is merged
+        dag = make_dag(6, [(0, i) for i in range(1, 6)], default_coupling=1.0)
+        assert route(dag).topology is HIERARCHICAL
+        calls = []
+
+        class Spy(MockBackend):
+            def invoke(self, instruction, context, *, tag=None):
+                calls.append(tag)
+                return super().invoke(instruction, context, tag=tag)
+
+        with pytest.raises(ValueError):
+            run_task(dag, [Spy()], **bad)
+        assert calls == []
 
     def test_writes_no_file(self, tmp_path, monkeypatch):
         writes = []
