@@ -373,61 +373,84 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .archetypes import ArchetypeKind
+class _Reparse(Exception):
+    """A one-subcommand parser's parse error, which the full parser reports."""
 
-    parser = argparse.ArgumentParser(
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Reparse
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``topoflow`` parser.  With ``only``, it has that subcommand's parser
+    alone, and its parse errors raise ``_Reparse`` instead of printing a usage
+    line that lists only that subcommand."""
+    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
         prog="topoflow",
         description="Task-adaptive multi-agent orchestration over dependency DAGs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("route", help="route a DAG file to its execution topology")
-    p.add_argument("dag", help="DAG JSON (decomposer records or canonical form)")
-    p.add_argument("--config", help="router config JSON")
-    p.add_argument("--log", help="write the routing decision to this JSONL file, replacing it")
-    p.set_defaults(func=cmd_route)
+    if only in (None, "route"):
+        p = sub.add_parser("route", help="route a DAG file to its execution topology")
+        p.add_argument("dag", help="DAG JSON (decomposer records or canonical form)")
+        p.add_argument("--config", help="router config JSON")
+        p.add_argument("--log", help="write the routing decision to this JSONL file, replacing it")
+        p.set_defaults(func=cmd_route)
 
-    p = sub.add_parser("exec", help="route, execute, and synthesize per a run manifest")
-    p.add_argument("manifest", help="run manifest JSON")
-    p.set_defaults(func=cmd_exec)
+    if only in (None, "exec"):
+        p = sub.add_parser("exec", help="route, execute, and synthesize per a run manifest")
+        p.add_argument("manifest", help="run manifest JSON")
+        p.set_defaults(func=cmd_exec)
 
-    p = sub.add_parser("ratio", help="print the variance-ratio lower bound")
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=cmd_ratio)
+    if only in (None, "ratio"):
+        p = sub.add_parser("ratio", help="print the variance-ratio lower bound")
+        p.add_argument("--omega", type=float, required=True)
+        p.add_argument("--gamma", type=float, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--eps", type=float, required=True)
+        p.set_defaults(func=cmd_ratio)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo variance simulation on an archetype")
-    p.add_argument("--archetype", choices=[k.value for k in ArchetypeKind], required=True)
-    p.add_argument("--size", type=int, default=6)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default="sim_out")
-    p.set_defaults(func=cmd_simulate)
+    if only in (None, "simulate"):
+        from .archetypes import ArchetypeKind
 
-    p = sub.add_parser("calibrate", help="grid-search theta_gamma on a dev split")
-    p.add_argument("--tasks", help="directory of task JSON files (dag + per-topology scores)")
-    p.add_argument("--synthetic", type=int, help="generate N synthetic tasks instead")
-    p.add_argument("--grid", default=",".join(map(str, routing.CALIBRATION_GRID)))
-    p.add_argument("--fraction", type=float, default=0.15)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", default="calibration_out")
-    p.set_defaults(func=cmd_calibrate)
+        p = sub.add_parser("simulate", help="Monte-Carlo variance simulation on an archetype")
+        p.add_argument("--archetype", choices=[k.value for k in ArchetypeKind], required=True)
+        p.add_argument("--size", type=int, default=6)
+        p.add_argument("--eps", type=float, default=0.05)
+        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--out", default="sim_out")
+        p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="aggregate run logs into tables")
-    p.add_argument("--logs", required=True, help="directory of JSONL run logs")
-    p.add_argument("--out", default="report_out")
-    p.set_defaults(func=cmd_report)
+    if only in (None, "calibrate"):
+        p = sub.add_parser("calibrate", help="grid-search theta_gamma on a dev split")
+        p.add_argument("--tasks", help="directory of task JSON files (dag + per-topology scores)")
+        p.add_argument("--synthetic", type=int, help="generate N synthetic tasks instead")
+        p.add_argument("--grid", default=",".join(map(str, routing.CALIBRATION_GRID)))
+        p.add_argument("--fraction", type=float, default=0.15)
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--out", default="calibration_out")
+        p.set_defaults(func=cmd_calibrate)
+
+    if only in (None, "report"):
+        p = sub.add_parser("report", help="aggregate run logs into tables")
+        p.add_argument("--logs", required=True, help="directory of JSONL run logs")
+        p.add_argument("--out", default="report_out")
+        p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a call builds only the parser of the subcommand it names; an unknown name
+    # builds none, so its error, like any parse error, comes from the full parser
+    try:
+        args = build_parser(argv[0] if argv and not argv[0].startswith("-") else None).parse_args(argv)
+    except _Reparse:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -26,13 +26,18 @@ def dumps(record: dict) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write via temp + rename in the destination directory."""
+    """Write ``text`` as UTF-8 bytes via temp + rename in the destination
+    directory, made if missing; the file has ``mkstemp``'s mode 0600."""
+    data = text.encode("utf-8")  # a text that cannot be encoded leaves no temp file
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except FileNotFoundError:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -566,6 +566,77 @@ def test_route_log_pinned(kind, tmp_path, capsys):
     assert digests == ROUTE_DIGESTS[kind]
 
 
+# sha256 of what each command line prints, help to stdout with exit 0 and
+# parse errors to stderr with exit 2, at 80 columns; recorded when every call
+# built the parsers of all six subcommands
+CLI_TEXT_DIGESTS = {
+    "": (2, "db9c65c8da04502a06da7f220e6dc6cc9a16ba54497ff71b984207376ccd8d47"),
+    "-h": (0, "8eedc499e6b22995a54906e5a2fa5e53e37c175c3627b7d36fe621dd92512f25"),
+    "--help": (0, "8eedc499e6b22995a54906e5a2fa5e53e37c175c3627b7d36fe621dd92512f25"),
+    "bogus": (2, "ea72e7783eb375e8accf06a91eef36f165193e903396f0f459eeefadc4c645e0"),
+    "route -h": (0, "b32604961443f2b4d8607e1dddd27b9e5743e189412756d61b34d2f10459366d"),
+    "exec -h": (0, "e17254545b3c4a2ad48e166c698dc1508b773d27f2d4a2ecc58b87da278f595c"),
+    "ratio -h": (0, "baf44a13fcc31d342476bfac9fdfe83e8563c2cba0e516f04572d37d4276ef29"),
+    "simulate -h": (0, "2f2e207ce43e7b0bfc10a359ced083dc38653adb9fb2ab91a83e8b1855da1772"),
+    "calibrate -h": (0, "623740e894549d85f5878ab9dc2df722842c6de3ef68315277a2a061dfc0a461"),
+    "report -h": (0, "cdc3887db2c29a6777516cedd8aaf58c6a6c5d8bfff72a9243027a3ef8b4db80"),
+    "exec": (2, "4e9442caadea501d6154a5295430f630293c95933bc336fe67c0131aea507046"),
+    "route": (2, "b73ee5506689e884448a97c55091c4616ac6fb7d6945db891e8cac7c0c241547"),
+    "report": (2, "976e79121b15115f66d7f5ea4b489eec7893897c87e830a50075de9084f87333"),
+    "simulate": (2, "8aaa31fd17154f81f88532b20d40dc17b2640664315a1df927571d6676e4907e"),
+    "exec a b": (2, "ac7d36aa86e880523f31751b88209f53cc445f2e6dd675b4105c67836851bc05"),
+    "route x --bogus": (2, "a0328a7a582637bf477ee706e553024cd04caf595223349882567150a4897d12"),
+    "ratio --omega 2": (2, "ec7359086ba77997ec627b9c221190520922c53fbee2812718a40710340203c4"),
+    "ratio --omega x --gamma 0.4 --k 6 --eps 0.05": (
+        2, "9de97bb721e483e77ae0b8dda2608a832f402d119c7aedd8b0ebd5bf74e9e3a8"
+    ),
+    "simulate --archetype nope": (2, "a38d50673fb15248ebaa08e0046e9119e61be79387ee57d509bf333eab090364"),
+    "exec --help extra": (0, "e17254545b3c4a2ad48e166c698dc1508b773d27f2d4a2ecc58b87da278f595c"),
+}
+
+
+@pytest.mark.parametrize("line", sorted(CLI_TEXT_DIGESTS))
+def test_help_and_parse_error_texts_pinned(line, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main(line.split())
+    out, err = capsys.readouterr()
+    printed, silent = (out, err) if stop.value.code == 0 else (err, out)
+    assert (stop.value.code, hashlib.sha256(printed.encode()).hexdigest()) == CLI_TEXT_DIGESTS[line], printed
+    assert silent == ""
+
+
+def test_a_call_builds_only_its_subcommands_parser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
+    assert main(["ratio", "--omega", "3", "--gamma", "0.4", "--k", "6", "--eps", "0.05"]) == 0
+    with pytest.raises(SystemExit):
+        main(["ratio", "--omega", "3"])  # the full parser reports a parse error
+    for argv in ([], ["-h"], ["bogus"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["ratio", "ratio", None, None, None, "bogus", None]
+
+
+def test_the_module_entry_point_runs(tmp_path):
+    # `python -m topoflow.cli` calls `main()`, which reads `sys.argv` itself
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def topoflow(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "topoflow.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    done = topoflow("--help")
+    assert done.returncode == 0
+    assert "{route,exec,ratio,simulate,calibrate,report}" in done.stdout
+    done = topoflow("exec", write_manifest(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert sorted(os.listdir(tmp_path / "out")) == ["ledger.json", "report.json", "run.log.jsonl", "trace.json"]
+
+
 class TestRatio:
     def test_reference_value(self, capsys):
         rc = main(["ratio", "--omega", "3.4", "--gamma", "0.35", "--k", "5", "--eps", "0.05"])
@@ -666,6 +737,11 @@ class TestCalibrate:
         table = (out / "calibration_table.csv").read_text().splitlines()
         assert table[0] == "theta_gamma,mean_quality"
         assert len(table) == 7
+
+    def test_a_fraction_near_one_leaves_no_test_task(self, tmp_path, capsys):
+        # the dev split takes ceil(fraction * n) tasks, so 0.999999 of 3 is all of them
+        assert main(["calibrate", "--synthetic", "3", "--fraction", "0.999999", "--out", str(tmp_path / "cal")]) == 0
+        assert "dev/test split: 3/0\n" in capsys.readouterr().out
 
     def test_tasks_dir(self, tmp_path, capsys):
         tasks = tmp_path / "tasks"
@@ -899,6 +975,7 @@ def test_import_loads_only_the_stdlib_and_no_http(tmp_path):
     route = modules_loaded_by(run(["route", os.path.join(FIXTURES, "diamond.json")]))
     assert "topoflow.routing" in route
     assert "graphlib" not in route  # only an invalid DAG's cycle witness needs it
+    assert "topoflow.archetypes" not in route  # simulate's parser alone needs its names
     engine = {f"topoflow.{m}" for m in ("accounting", "backends", "execution", "synthesis")}
     assert sorted(set(route) & (engine | {"topoflow.convergence"})) == []
     ratio = modules_loaded_by(run(["ratio", "--omega", "3", "--gamma", "0.4", "--k", "6", "--eps", "0.05"]))
@@ -908,9 +985,11 @@ def test_import_loads_only_the_stdlib_and_no_http(tmp_path):
     for loaded in (ratio, simulate):
         assert "topoflow.convergence" in loaded
         assert sorted(set(loaded) & engine) == []
+    assert "topoflow.archetypes" in simulate
     # an offline exec runs on the virtual clock: no thread pool, no HTTP stack
     offline = modules_loaded_by(run(["exec", write_manifest(tmp_path, backend="mock")]))
     assert "topoflow.execution" in offline
+    assert "topoflow.archetypes" not in offline
     assert sorted(set(offline) & {"concurrent.futures", "http.client", "ssl"}) == []
 
 

@@ -9,8 +9,8 @@ and the canonical document; the four other files that ``exec`` reads (its
 manifest, a scripted fixture, a router config and a pricing file), each beside
 valid others; a ``calibrate`` task file; and a ``run`` record of a ``report``
 log.  Exits 2 and 3 of these leave no new file or directory.  The numeric
-flags of ``ratio`` and ``simulate`` are drawn too: any float or integer, spelt
-as on a command line.
+flags of ``ratio``, ``simulate`` and ``calibrate`` are drawn too: any float or
+integer, spelt as on a command line.
 """
 
 import contextlib
@@ -242,5 +242,34 @@ def test_simulate_number_flags_exit_cleanly(scratch, kind, size, eps, trials, se
     assert code in (0, 2)
     assert "Traceback" not in err
     if code == 2:
+        assert not os.path.exists(out)
+    shutil.rmtree(out, ignore_errors=True)
+
+
+# ``calibrate``'s fraction and grid thresholds lie in [0, 1]: half the draws
+# come from there, so that some runs get past the flag checks.  A ``--grid``
+# text is up to four numbers joined by commas.
+UNIT_FLAG = st.one_of(st.floats(min_value=0, max_value=1).map(str), FLOAT_FLAG)
+GRID_FLAG = st.one_of(
+    st.lists(st.floats(min_value=0, max_value=1).map(str), min_size=1, max_size=4),
+    st.lists(FLOAT_FLAG, max_size=4),
+).map(",".join)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    synthetic=st.one_of(st.integers(1, 40), st.integers(max_value=40)).map(str),
+    fraction=UNIT_FLAG,
+    seed=INT_FLAG,
+    grid=GRID_FLAG,
+)
+@example(synthetic="3", fraction="0.999999", seed="42", grid="0.4")  # every task in dev, none in test
+def test_calibrate_number_flags_exit_cleanly(scratch, synthetic, fraction, seed, grid):
+    out = os.path.join(scratch, "cal")
+    argv = ["calibrate", f"--synthetic={synthetic}", f"--fraction={fraction}", f"--seed={seed}", f"--grid={grid}"]
+    code, err = _run([*argv, f"--out={out}"])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code in (2, 3):
         assert not os.path.exists(out)
     shutil.rmtree(out, ignore_errors=True)

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,35 @@ from test_cli import FIXTURES, fixture_entries
 
 
 class TestAtomicWrite:
-    def test_writes_content(self, tmp_path):
+    def test_writes_content(self, tmp_path):  # as UTF-8 bytes, each "\n" as it is
         p = tmp_path / "a.txt"
-        atomic_write(str(p), "hello\n")
-        assert p.read_text() == "hello\n"
+        atomic_write(str(p), "héllo\nwörld\n")
+        assert p.read_bytes() == b"h\xc3\xa9llo\nw\xc3\xb6rld\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_is_0600_whatever_the_umask(self, tmp_path, umask):
+        p = tmp_path / "a.txt"
+        old = os.umask(umask)
+        try:
+            atomic_write(str(p), "one")
+            assert stat.S_IMODE(p.stat().st_mode) == 0o600
+            atomic_write(str(p), "two")  # a replaced target too
+            assert stat.S_IMODE(p.stat().st_mode) == 0o600
+        finally:
+            os.umask(old)
+
+    def test_failed_replace_keeps_the_old_target_and_no_temp(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.txt"
+        atomic_write(str(p), "old")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            atomic_write(str(p), "new")
+        assert p.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["a.txt"]
 
     def test_overwrites_without_leftover_temps(self, tmp_path):
         p = tmp_path / "a.txt"
