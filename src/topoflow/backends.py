@@ -56,6 +56,11 @@ class AgentBackend(ABC):
         """Run one agent call.  ``tag`` names the subtask/phase for scripted
         backends; real backends ignore it."""
 
+    def close(self) -> None:
+        """Release what the backend keeps open between calls, such as its
+        connections; a later call opens anew.  ``run_task`` calls this when a
+        run ends.  This default holds nothing and does nothing."""
+
 
 def approx_tokens(text: str) -> int:
     """Whitespace-token approximation, used only when no provider count exists."""
@@ -199,7 +204,8 @@ class HttpChatBackend(AgentBackend):
 
     Each thread posts through its own kept-alive connection from ``connect``, a
     zero-argument factory of objects with ``request``, ``getresponse``, ``close``
-    and ``sock`` (by default a verified ``http.client.HTTPSConnection``).
+    and ``sock`` (by default a verified ``http.client.HTTPSConnection``), until
+    ``close`` closes every connection made.
     """
 
     def __init__(self, provider: str, model: str, *, connect: Callable[[], Any] | None = None):
@@ -217,6 +223,8 @@ class HttpChatBackend(AgentBackend):
         self._tls = None if connect else ssl.create_default_context()
         self._connect = connect or self._https_connection
         self._local = threading.local()
+        self._opened: list = []  # every connection made since the last close
+        self._lock = threading.Lock()
 
     def _https_connection(self):
         """An unopened connection to the provider, through ``HTTPS_PROXY`` unless ``NO_PROXY`` names it."""
@@ -237,9 +245,18 @@ class HttpChatBackend(AgentBackend):
         conn = getattr(self._local, "conn", None)
         if conn is None:
             conn = self._local.conn = self._connect()
+            with self._lock:
+                self._opened.append(conn)
         elif conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
             conn.close()  # an idle socket polls readable once the server has closed it
         return conn
+
+    def close(self) -> None:
+        with self._lock:
+            opened, self._opened = self._opened, []
+            self._local = threading.local()  # so each thread's next call makes a connection anew
+        for conn in opened:
+            conn.close()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.spec.env_key)

@@ -174,8 +174,9 @@ def cmd_exec(args) -> int:
             ledger.record(out, Phase.EXECUTE)
     for call in run.synthesis_calls:
         ledger.record(call, Phase.SYNTHESIZE)
-    runlog.write_json(os.path.join(out_dir, "trace.json"), run.traces[-1].to_record())
+    # the ledger first, so that no later write's failure can lose the record of what was paid
     runlog.write_json(os.path.join(out_dir, "ledger.json"), ledger.to_record())
+    runlog.write_json(os.path.join(out_dir, "trace.json"), run.traces[-1].to_record())
     log_records = [{"type": "route", **decision.to_record()} for decision in run.routes]
     syn = run.result
     if syn is not None:

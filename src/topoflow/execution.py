@@ -1,22 +1,20 @@
 """One scheduler for the four topologies: parallel, sequential, hierarchical, hybrid.
 
-Agent invocations run under a bounded worker limit.  The engine supports two
-clocks: "wall" measures real time on one thread pool per run, whose workers
-(and so each worker's backend connection) serve every call; "virtual"
-executes invocations deterministically in schedule order and computes the
-makespan from backend-reported latencies, which keeps traces
-byte-reproducible with mock and scripted backends.  ``run_task`` is the
-adaptive pipeline around the engine: route, execute, synthesize, re-route.
+Agent invocations run under a bounded worker limit, each on the engine's one
+call path.  The engine supports two clocks: "wall" measures real time on the
+one thread pool the engine owns while entered, whose workers (and so each
+worker's backend connection) serve every call of a run; "virtual" executes
+invocations deterministically in schedule order and computes the makespan
+from backend-reported latencies, which keeps traces byte-reproducible with
+mock and scripted backends.  ``run_task`` is the adaptive pipeline around the
+engine: route, execute, synthesize, re-route.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
-from types import SimpleNamespace
 from typing import Sequence
 
 from .backends import AgentBackend, AgentOutput, BackendError
@@ -150,7 +148,9 @@ def merge_context(
 
 
 class ExecutionEngine:
-    """Runs an execution plan over a backend pool with bounded concurrency."""
+    """Runs an execution plan over a backend pool with bounded concurrency.
+    On the wall clock it makes its calls inside ``with engine:``, on the one
+    pool of ``concurrency_limit`` workers that it owns until it exits."""
 
     def __init__(
         self,
@@ -167,6 +167,19 @@ class ExecutionEngine:
         self.clock = clock
         self.task_text = task_text
         self.embedder = HashedEmbedder()  # its memo serves context merging, and synthesis in run_task
+        self._workers = None
+
+    def __enter__(self) -> "ExecutionEngine":
+        if self.clock == "wall":
+            from concurrent.futures import ThreadPoolExecutor  # here, so that offline runs load neither it nor logging
+
+            self._workers = ThreadPoolExecutor(self.concurrency_limit)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._workers is not None:
+            self._workers.shutdown()
+            self._workers = None
 
     def run(self, dag: TaskDag, plan: ExecutionPlan) -> ExecutionTrace:
         """Run the plan's groups in order, each group's vertices concurrently.
@@ -201,62 +214,55 @@ class ExecutionEngine:
             f"{self.task_text}\n\nThis subtask is part of a plan of {len(plan.assignments)} "
             f"subtasks executed with the {kind.value} topology in {len(plan.order)} group(s)."
         ).strip()
-        workers = nullcontext()
-        if self.clock == "wall":
-            from concurrent.futures import ThreadPoolExecutor  # here, so that offline runs load neither it nor logging
 
-            workers = ThreadPoolExecutor(self.concurrency_limit)
-        with workers as pool:
-            def lead_call(phase: str, instruction: str, context: str) -> None:
-                tag = f"lead:{phase}"
-                [(_, out, _, _)], trace.wall_clock = self._run_group(
-                    {tag: (lead, instruction, context)}, trace.wall_clock, pool
-                )
-                if isinstance(out, BackendError):
-                    trace.failures[tag] = str(out)
-                    raise ExecutionFailure(dict(trace.failures), trace) from out
-                trace.lead[phase] = out.with_subtask(tag)
+        def lead_call(phase: str, instruction: str, context: str) -> None:
+            tag = f"lead:{phase}"
+            [(_, out, _, _)], trace.wall_clock = self._run_group({tag: (lead, instruction, context)}, trace.wall_clock)
+            if isinstance(out, BackendError):
+                trace.failures[tag] = str(out)
+                raise ExecutionFailure(dict(trace.failures), trace) from out
+            trace.lead[phase] = out.with_subtask(tag)
 
-            if hierarchical:
-                lead = next(iter(plan.assignments.values()))
-                subtask_list = "\n".join(
-                    f"- {v.id}: {v.description or v.id}"
-                    f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
-                    for v in sorted(dag.vertices, key=lambda s: s.id)
-                )
-                lead_call("assign", LEAD_ASSIGN_PREFIX + subtask_list, glob)
-            for group in plan.order:
-                # in id order, so that merge_context's sort finds one run when cosines tie (mock outputs all do)
-                earlier = [trace.outputs[v] for v in sorted(trace.outputs)] if shared else []
-                calls = {}
-                for vid in group:
-                    sub = dag.subtask(vid)
-                    sources = earlier
-                    if kind is TopologyKind.SEQUENTIAL:
-                        sources = [trace.outputs[p] for p in dag.predecessors(vid) if p in trace.outputs]
-                    merged = merge_context(sources, sub, plan.context_budget, self.embedder)
-                    calls[vid] = (plan.assignments[vid], sub.description or sub.id,
-                                  f"{glob}\n\n{merged}".strip() if merged else glob)
-                if calls:
-                    results, end = self._run_group(calls, trace.wall_clock, pool)
-                    trace.group_timings.append(end - trace.wall_clock)
-                    trace.wall_clock = end
-                    for vid, out, start, finish in results:
-                        if isinstance(out, BackendError):
-                            trace.failures[vid] = str(out)
-                        else:
-                            trace.outputs[vid] = out.with_subtask(vid)
-                            trace.timings[vid] = VertexTiming(start=start, finish=finish)
-                if trace.failures and not hierarchical:
-                    break
-            if hierarchical:
-                sections = [
-                    f"## {vid}\n{trace.outputs[vid].text}"
-                    if vid in trace.outputs
-                    else f"## {vid}\nFAILURE NOTICE: {trace.failures.get(vid, 'no output')}"
-                    for vid in sorted(dag.vertex_ids)
-                ]
-                lead_call("reconcile", LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "")
+        if hierarchical:
+            lead = next(iter(plan.assignments.values()))
+            subtask_list = "\n".join(
+                f"- {v.id}: {v.description or v.id}"
+                f" (depends on {', '.join(sorted(dag.predecessors(v.id))) or 'nothing'})"
+                for v in sorted(dag.vertices, key=lambda s: s.id)
+            )
+            lead_call("assign", LEAD_ASSIGN_PREFIX + subtask_list, glob)
+        for group in plan.order:
+            # in id order, so that merge_context's sort finds one run when cosines tie (mock outputs all do)
+            earlier = [trace.outputs[v] for v in sorted(trace.outputs)] if shared else []
+            calls = {}
+            for vid in group:
+                sub = dag.subtask(vid)
+                sources = earlier
+                if kind is TopologyKind.SEQUENTIAL:
+                    sources = [trace.outputs[p] for p in dag.predecessors(vid) if p in trace.outputs]
+                merged = merge_context(sources, sub, plan.context_budget, self.embedder)
+                calls[vid] = (plan.assignments[vid], sub.description or sub.id,
+                              f"{glob}\n\n{merged}".strip() if merged else glob)
+            if calls:
+                results, end = self._run_group(calls, trace.wall_clock)
+                trace.group_timings.append(end - trace.wall_clock)
+                trace.wall_clock = end
+                for vid, out, start, finish in results:
+                    if isinstance(out, BackendError):
+                        trace.failures[vid] = str(out)
+                    else:
+                        trace.outputs[vid] = out.with_subtask(vid)
+                        trace.timings[vid] = VertexTiming(start=start, finish=finish)
+            if trace.failures and not hierarchical:
+                break
+        if hierarchical:
+            sections = [
+                f"## {vid}\n{trace.outputs[vid].text}"
+                if vid in trace.outputs
+                else f"## {vid}\nFAILURE NOTICE: {trace.failures.get(vid, 'no output')}"
+                for vid in sorted(dag.vertex_ids)
+            ]
+            lead_call("reconcile", LEAD_RECONCILE_PREFIX + "\n\n".join(sections), "")
         if kind is TopologyKind.PARALLEL:
             for u, v in dag.edges:
                 tu, tv = trace.timings.get(u), trace.timings.get(v)
@@ -268,48 +274,45 @@ class ExecutionEngine:
 
     # -- internals --------------------------------------------------------------
 
-    def _invoke_with_retry(
-        self, backend: AgentBackend, instruction: str, context: str, *, tag: str
-    ) -> AgentOutput:
-        backoff = 0.0
-        for attempt in range(RETRIES + 1):
-            try:
-                out = backend.invoke(instruction, context, tag=tag)
-                break
-            except BackendError as exc:
-                if not exc.transient or attempt == RETRIES:
-                    raise
-                delay = BACKOFF_BASE * (2**attempt)
-                backoff += delay
-                if self.clock == "wall":
-                    time.sleep(delay)
-        # retried calls carry their backoff in the reported latency
-        return replace(out, latency=out.latency + backoff) if backoff else out
-
-    def _run_group(self, calls, start, pool):
+    def _run_group(self, calls, start):
         """The engine's one call path: run ``calls`` (tag -> (backend,
-        instruction, context)) concurrently on ``pool``, or in order without
-        one; return each call's ``(tag, output or BackendError, start,
-        finish)`` and the group's end.  The virtual clock takes a call's start
-        from the earliest free of ``concurrency_limit`` simulated workers and
-        its finish from the backend-reported latency (a failed call frees its
-        worker at once); the wall clock measures both.
+        instruction, context)) concurrently on the engine's workers, or in
+        order on the virtual clock, each retried with backoff after a
+        transient failure; return each call's ``(tag, output or BackendError,
+        start, finish)`` and the group's end.  The virtual clock takes a
+        call's start from the earliest free of ``concurrency_limit`` simulated
+        workers and its finish from the backend-reported latency (a failed
+        call frees its worker at once); the wall clock measures both.
         """
+        wall = self.clock == "wall"
+        if wall and self._workers is None:
+            raise RuntimeError("a wall-clock engine makes its calls inside `with engine:`")
         t0 = time.monotonic()
 
-        def call(item):
+        def invoke(item):
             tag, (backend, instruction, context) = item
             began = time.monotonic()
-            try:
-                out = self._invoke_with_retry(backend, instruction, context, tag=tag)
-            except BackendError as exc:
-                out = exc
+            backoff = 0.0
+            for attempt in range(RETRIES + 1):
+                try:
+                    out = backend.invoke(instruction, context, tag=tag)
+                    break
+                except BackendError as exc:
+                    out = exc
+                    if not exc.transient or attempt == RETRIES:
+                        break
+                    delay = BACKOFF_BASE * (2**attempt)
+                    backoff += delay
+                    if wall:
+                        time.sleep(delay)
+            if backoff and not isinstance(out, BackendError):
+                out = replace(out, latency=out.latency + backoff)  # a retried call carries its backoff
             return tag, out, began - t0 + start, time.monotonic() - t0 + start
 
-        if pool is not None:
-            results = list(pool.map(call, calls.items()))
+        if wall:
+            results = list(self._workers.map(invoke, calls.items()))
             return results, time.monotonic() - t0 + start
-        results = list(map(call, calls.items()))
+        results = list(map(invoke, calls.items()))
         workers = [start] * min(self.concurrency_limit, len(calls))
         for i, (tag, out, _, _) in enumerate(results):
             began = heapq.heappop(workers)
@@ -345,15 +348,23 @@ def run_task(
     """Route ``dag``, execute it on ``pool``, synthesize the outputs with the
     pool's first backend, and re-route at a higher γ while synthesis asks to.
 
-    Context merging and synthesis share the engine's embedder, and merge and
-    arbiter calls get the engine's transient-failure retry.  A failed
-    execution or synthesis call ends the run without raising: ``failure``
-    says why, and a failed execution's partial trace is the last of
-    ``traces``.
+    One engine, entered once, makes every call of the run, merge and arbiter
+    calls included, with its transient-failure retry, and context merging and
+    synthesis share its embedder.  When the run ends, the workers stop and
+    each distinct backend of ``pool`` is closed.  A failed execution or
+    synthesis call ends the run without raising: ``failure`` says why, and a
+    failed execution's partial trace is the last of ``traces``.
     """
     engine = ExecutionEngine(concurrency_limit=concurrency, clock=clock, task_text=task)
     config = SynthesisConfig(theta_cs=theta_cs)  # a bad argument fails here, before any paid call
     run = TaskRun()
+
+    class Agent:  # synthesize's merge and arbiter agent: pool[0], each call a one-call group
+        def invoke(self, instruction: str, context: str, *, tag: str) -> AgentOutput:
+            [(_, out, _, _)], _ = engine._run_group({tag: (pool[0], instruction, context)}, 0.0)
+            if isinstance(out, BackendError):
+                raise out
+            return out
 
     def execute(gamma: float | None = None) -> tuple[list[str], TopologyKind]:
         decision = route(dag, router_config, gamma_override=gamma)
@@ -366,19 +377,23 @@ def run_task(
         return texts, decision.topology
 
     try:
-        texts, topology = execute()
-        run.result = synthesize(
-            texts,
-            topology,
-            replace(config, gamma0=run.routes[0].gamma_used),
-            SimpleNamespace(invoke=partial(engine._invoke_with_retry, pool[0])),  # pool[0] behind the retry
-            reroute=execute,
-            embedder=engine.embedder,
-            calls=run.synthesis_calls,
-        )
+        with engine:
+            texts, topology = execute()
+            run.result = synthesize(
+                texts,
+                topology,
+                replace(config, gamma0=run.routes[0].gamma_used),
+                Agent(),
+                reroute=execute,
+                embedder=engine.embedder,
+                calls=run.synthesis_calls,
+            )
     except ExecutionFailure as exc:
         run.traces.append(exc.trace)  # the calls that did complete were paid for
         run.failure = f"execute: failed vertices {sorted(exc.failed)}"
     except SynthesisError as exc:
         run.failure = f"synthesize: {exc}"
+    finally:
+        for backend in {id(b): b for b in pool}.values():
+            backend.close()
     return run

@@ -1,9 +1,13 @@
 import hashlib
+import http.server
 import itertools
+import json
 import math
 import random
 import sys
+import threading
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -499,3 +503,96 @@ def validations(monkeypatch):
         if name.split(".")[0] == "topoflow" and getattr(module, "validate_dag", None) is original:
             monkeypatch.setattr(module, "validate_dag", counting)
     return calls
+
+
+# -- a loopback HTTP server for the live path -----------------------------------
+
+@dataclass(frozen=True)
+class Reply:
+    """One scripted HTTP reply: its status, its JSON body (a string is sent
+    as is), and whether the server then closes the connection unannounced."""
+
+    body: object
+    status: int = 200
+    close: bool = False
+
+
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive unless a reply says close
+    disable_nagle_algorithm = True  # the head and the body go out at once, with no delayed-ACK wait
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        reply = self.server.loopback.reply_to(request)
+        data = (reply.body if isinstance(reply.body, str) else json.dumps(reply.body)).encode()
+        self.send_response(reply.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = reply.close
+
+    def log_message(self, format, *args):
+        pass
+
+
+class _CountingServer(http.server.ThreadingHTTPServer):
+    def process_request(self, request, client_address):
+        self.loopback._count("connections")
+        super().process_request(request, client_address)
+
+    def close_request(self, request):
+        super().close_request(request)
+        self.loopback._count("closed")
+
+
+class LoopbackServer:
+    """A stdlib ``ThreadingHTTPServer`` on 127.0.0.1 whose ``script(n,
+    request)`` gives the ``Reply`` to the n-th request (from 0) and its JSON
+    body.  It counts the connections it accepted, those it has closed, and
+    the requests it served."""
+
+    def __init__(self, script):
+        self.script = script
+        self.connections = self.closed = self.requests = 0
+        self._changed = threading.Condition()
+        self._server = _CountingServer(("127.0.0.1", 0), _ScriptedHandler)
+        self._server.loopback = self
+        self.port = self._server.server_address[1]
+        self._thread = threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.01})
+        self._thread.start()
+
+    def reply_to(self, request) -> Reply:
+        with self._changed:
+            n, self.requests = self.requests, self.requests + 1
+        return self.script(n, request)
+
+    def _count(self, name):
+        with self._changed:
+            setattr(self, name, getattr(self, name) + 1)
+            self._changed.notify_all()
+
+    def wait_closed(self, connections, timeout=5.0) -> bool:
+        """Whether the server has closed ``connections`` connections within ``timeout`` seconds."""
+        with self._changed:
+            return self._changed.wait_for(lambda: self.closed >= connections, timeout)
+
+    def stop(self):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(5)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def loopback():
+    """Starts a ``LoopbackServer`` for a script; each is stopped after the test."""
+    servers = []
+
+    def start(script):
+        servers.append(LoopbackServer(script))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()

@@ -162,6 +162,24 @@ class TestExec:
         assert sorted(written[0]) == ["ledger.json", "report.json", "run.log.jsonl", "trace.json"]
         assert written[0] == written[1]
 
+    def test_a_failed_artefact_write_keeps_the_ledger(self, tmp_path, capsys):
+        # every agent call is made before the first write: the ledger of what
+        # they cost is written first, so that a later write's failure loses none
+        dag = [{"id": "a", "description": "draft", "depends_on": [], "coupling": "none"},
+               {"id": "b", "description": "review", "depends_on": ["a"], "coupling": "strong"}]
+        (tmp_path / "dag.json").write_text(json.dumps(dag))
+        ledgers = []
+        for out in (tmp_path / "ok", tmp_path / "blocked"):
+            manifest = write_manifest(tmp_path, dag=str(tmp_path / "dag.json"), backend="mock", output_dir=str(out))
+            if out.name == "blocked":
+                (out / "trace.json").mkdir(parents=True)
+                assert main(["exec", manifest]) == 5
+                assert "Is a directory" in capsys.readouterr().err
+            else:
+                assert main(["exec", manifest]) == 0
+            ledgers.append((out / "ledger.json").read_bytes())
+        assert json.loads(ledgers[0])["entries"] and ledgers[1] == ledgers[0]
+
     def test_exec_mock_backend(self, tmp_path, capsys):
         manifest = write_manifest(tmp_path, backend="mock")
         assert main(["exec", manifest]) == 0

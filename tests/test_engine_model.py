@@ -213,9 +213,9 @@ def test_wall_clock_matches_the_model_but_for_times(scenario, data):
     for entry in entries.values():
         entry["latency"] = data.draw(TINY)
     threads = threading.active_count()
-    engine = ExecutionEngine(concurrency_limit=limit, clock="wall")
     backend = spy_on(SleepingScripted(entries))
-    plan, trace = run(engine, dag, kind, backend)
+    with ExecutionEngine(concurrency_limit=limit, clock="wall") as engine:
+        plan, trace = run(engine, dag, kind, backend)
     outputs, _, group_timings, failures, _ = model(kind, plan.order, limit, entries)
     check_sources(dag, kind, plan.order, backend, outputs, failures)
     assert set(trace.outputs) == outputs

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import http.client
 import json
@@ -6,9 +7,14 @@ import socket
 import ssl
 import sys
 import threading
+import tempfile
 import time
+import warnings
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topoflow.backends import AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from topoflow.cli import main
@@ -26,8 +32,8 @@ from topoflow.routing import TopologyKind, route
 from topoflow.runlog import read_jsonl
 from topoflow.synthesis import FixtureEmbedder, HashedEmbedder
 
-from conftest import make_dag
-from test_cli import FIXTURES, fixture_entries, write_manifest
+from conftest import Reply, make_dag
+from test_cli import FIXTURES, fixture_entries, hierarchical_manifest, write_fixture, write_manifest
 
 PARALLEL = TopologyKind.PARALLEL
 SEQUENTIAL = TopologyKind.SEQUENTIAL
@@ -292,6 +298,24 @@ class TestHttpChatBackend:
         assert backend.invoke("b", "").text == "ok"
         assert len(made) == 1 and conn.sent == 2
 
+    def test_close_closes_each_threads_connection_and_a_later_call_reconnects(self):
+        made = []
+
+        def connect():
+            made.append(FakeConnection(FakeResponse(200, OK_BODY)))
+            return made[-1]
+
+        backend = HttpChatBackend("openai", "gpt-4o-mini", connect=connect)
+        backend.invoke("a", "")
+        worker = threading.Thread(target=backend.invoke, args=("b", ""))
+        worker.start()
+        worker.join()
+        backend.close()
+        assert [conn.closes for conn in made] == [1, 1]
+        backend.invoke("c", "")  # this thread's connection was closed: it makes a new one
+        backend.close()
+        assert [conn.closes for conn in made] == [1, 1, 1]
+
     def test_each_wall_clock_worker_thread_has_its_own_connection(self):
         made = []
         lock = threading.Lock()
@@ -310,7 +334,8 @@ class TestHttpChatBackend:
 
         dag = make_dag(8, [])
         backend = HttpChatBackend("openai", "gpt-4o-mini", connect=ThreadRecordingConnection)
-        trace = ExecutionEngine(concurrency_limit=4, clock="wall").run(dag, make_plan(dag, PARALLEL, [backend]))
+        with ExecutionEngine(concurrency_limit=4, clock="wall") as engine:
+            trace = engine.run(dag, make_plan(dag, PARALLEL, [backend]))
         assert len(trace.outputs) == 8
         assert len(made) == 4
         assert [len(conn.threads) for conn in made] == [1, 1, 1, 1]
@@ -333,7 +358,8 @@ class TestHttpChatBackend:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1.0)
         try:
-            trace = ExecutionEngine(clock="wall").run(dag, plan)
+            with ExecutionEngine(clock="wall") as engine:
+                trace = engine.run(dag, plan)
         finally:
             sys.setswitchinterval(interval)
         assert len(trace.outputs) == 6
@@ -369,6 +395,59 @@ class TestHttpChatBackend:
         with pytest.raises(BackendError, match="without credentials") as ei:
             HttpChatBackend("openai", "gpt-4o-mini")._connect()
         assert "secret" not in str(ei.value)
+
+
+def loopback_backend(server):
+    """An ``HttpChatBackend`` whose connections go to ``server`` over plain HTTP."""
+    return HttpChatBackend(
+        "openai", "gpt-4o-mini", connect=lambda: http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+    )
+
+
+def disagreeing(n, request):
+    """A reply that agrees with no other: one word of its own."""
+    usage = {"prompt_tokens": 3, "completion_tokens": 1}
+    return Reply({"choices": [{"message": {"content": f"reply{n}"}}], "usage": usage})
+
+
+class TestLoopback:
+    """``HttpChatBackend`` and the wall-clock engine against a real server on 127.0.0.1."""
+
+    @pytest.fixture(autouse=True)
+    def api_key(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+
+    def test_idle_connection_the_server_closed_is_replaced_before_the_next_request(self, loopback):
+        server = loopback(lambda n, request: Reply(OK_BODY, close=n == 0))
+        backend = loopback_backend(server)
+        assert backend.invoke("a", "").text == "ok"
+        assert server.wait_closed(1)  # the server hung up after its first reply, unannounced
+        assert backend.invoke("b", "").text == "ok"  # sent on a new connection, not into the dead one
+        assert (server.connections, server.requests) == (2, 2)
+        backend.close()
+        assert server.wait_closed(2)
+
+    def test_a_run_keeps_its_workers_connections_and_closes_them_at_its_end(self, loopback):
+        # parallel at first; each re-route raises γ until the run goes
+        # hierarchical, so the lead's, the arbiter's and every vertex's calls
+        # all go to the same server
+        dag = make_dag(6, [(0, i) for i in range(1, 6)])
+        server = loopback(disagreeing)
+        backend = loopback_backend(server)
+        opened = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            for _ in range(2):  # the second run reconnects, and closes what it opened
+                run = run_task(dag, [backend], concurrency=3, clock="wall")
+                assert run.failure is None and run.result.path.value == "escalated"
+                assert (run.routes[0].topology, run.routes[-1].topology) == (PARALLEL, HIERARCHICAL)
+                calls = sum(len(t.outputs) + len(t.lead) for t in run.traces) + len(run.synthesis_calls)
+                assert server.requests == calls * (len(opened) + 1)
+                opened.append(server.connections - sum(opened))
+                assert server.wait_closed(server.connections)
+                gc.collect()
+        assert 1 <= min(opened) and max(opened) <= 3
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestAssignAgents:
@@ -598,8 +677,8 @@ class TestHierarchical:
         for clock in ("virtual", "wall"):
             lead = ScriptedBackend({"lead:assign": {"fail": True}})
             plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
-            with pytest.raises(ExecutionFailure) as info:
-                ExecutionEngine(clock=clock).run(diamond, plan)
+            with pytest.raises(ExecutionFailure) as info, ExecutionEngine(clock=clock) as engine:
+                engine.run(diamond, plan)
             assert list(info.value.failed) == ["lead:assign"]
             assert info.value.trace.outputs == {} and info.value.trace.lead == {}
 
@@ -609,8 +688,8 @@ class TestHierarchical:
                 {"lead:assign": {"text": "plan"}, "lead:reconcile": {"fail": True}, "default": {"text": "ok"}}
             )
             plan = make_plan(diamond, HIERARCHICAL, [lead, MockBackend()])
-            with pytest.raises(ExecutionFailure) as info:
-                ExecutionEngine(clock=clock).run(diamond, plan)
+            with pytest.raises(ExecutionFailure) as info, ExecutionEngine(clock=clock) as engine:
+                engine.run(diamond, plan)
             trace = info.value.trace
             assert list(info.value.failed) == ["lead:reconcile"]
             assert sorted(trace.outputs) == ["v0", "v1", "v2", "v3"]
@@ -625,12 +704,10 @@ class TestWallClock:
     def test_parallel_faster_than_sequential(self):
         dag = make_dag(4, [])
         mk = lambda: MockBackend(latency=0.05, sleep=True)
-        seq = ExecutionEngine(clock="wall").run(
-            dag, make_plan(dag, SEQUENTIAL, [mk()])
-        )
-        par = ExecutionEngine(clock="wall", concurrency_limit=8).run(
-            dag, make_plan(dag, PARALLEL, [mk()])
-        )
+        with ExecutionEngine(clock="wall") as engine:
+            seq = engine.run(dag, make_plan(dag, SEQUENTIAL, [mk()]))
+        with ExecutionEngine(clock="wall", concurrency_limit=8) as engine:
+            par = engine.run(dag, make_plan(dag, PARALLEL, [mk()]))
         assert par.wall_clock < seq.wall_clock
 
     def test_transient_failure_sleeps_its_backoff(self, monkeypatch):
@@ -638,7 +715,8 @@ class TestWallClock:
         monkeypatch.setattr(execution.time, "sleep", sleeps.append)
         dag = make_dag(1, [])
         backend = ScriptedBackend({"v0": {"text": "ok", "latency": 0.1, "fail_times": 1}})
-        trace = ExecutionEngine(clock="wall").run(dag, make_plan(dag, PARALLEL, [backend]))
+        with ExecutionEngine(clock="wall") as engine:
+            trace = engine.run(dag, make_plan(dag, PARALLEL, [backend]))
         assert sleeps == [0.5]
         assert trace.outputs["v0"].latency == pytest.approx(0.6)
 
@@ -646,8 +724,8 @@ class TestWallClock:
         backend = ScriptedBackend({"v1": {"fail": True}, "default": {"text": "ok", "latency": 0.01}})
         plan = make_plan(diamond, route(diamond).topology, [backend])
         assert plan.order[1] == ("v1", "v2")
-        with pytest.raises(ExecutionFailure) as ei:
-            ExecutionEngine(clock="wall").run(diamond, plan)
+        with pytest.raises(ExecutionFailure) as ei, ExecutionEngine(clock="wall") as engine:
+            engine.run(diamond, plan)
         assert list(ei.value.failed) == ["v1"]
         assert sorted(ei.value.trace.outputs) == ["v0", "v2"]
 
@@ -661,9 +739,19 @@ class TestWallClock:
         dag = make_dag(6, [])
         threads = threading.active_count()
         engine = ExecutionEngine(clock="wall", concurrency_limit=4)
-        with pytest.raises(RuntimeError, match="not a BackendError"):
+        with pytest.raises(RuntimeError, match="not a BackendError"), engine:
             engine.run(dag, make_plan(dag, PARALLEL, [Broken(latency=0.01, sleep=True)]))
         assert threading.active_count() == threads
+
+    def test_wall_clock_engine_calls_only_inside_with(self, diamond):
+        engine = ExecutionEngine(clock="wall")
+        plan = make_plan(diamond, PARALLEL, [MockBackend()])
+        with pytest.raises(RuntimeError, match="inside `with engine:`"):
+            engine.run(diamond, plan)
+        with engine:
+            assert len(engine.run(diamond, plan).outputs) == 4
+        with pytest.raises(RuntimeError, match="inside `with engine:`"):
+            engine.run(diamond, plan)  # and not after it exits
 
     def test_invalid_clock_rejected(self):
         with pytest.raises(ValueError):
@@ -820,7 +908,78 @@ class TestRunTask:
         assert run.failure is None and len(run.routes) == len(run.traces) == run.result.iterations
         assert capsys.readouterr().out == f"{run.result.final_text} {namespace['ledger'].total_tokens}\n"
 
+    @pytest.mark.parametrize("clock", ["virtual", "wall"])
+    @pytest.mark.parametrize("v1", [{"text": "ok"}, {"fail": True}])
+    def test_each_distinct_backend_is_closed_once_after_the_workers_stop(self, clock, v1):
+        events = []
+
+        class Closing(ScriptedBackend):
+            def invoke(self, instruction, context, *, tag=None):
+                events.append("call")
+                return super().invoke(instruction, context, tag=tag)
+
+            def close(self):
+                events.append(("close", self.name, threading.active_count()))
+
+        threads = threading.active_count()
+        first, second = Closing(fixture_entries(v1=v1), name="a"), Closing(fixture_entries(), name="b")
+        run = run_task(load_dag(os.path.join(FIXTURES, "diamond.json")), [first, first, second], clock=clock)
+        assert (run.failure is None) == ("text" in v1)
+        assert [e for e in events if e != "call"] == events[-2:] == [("close", "a", threads), ("close", "b", threads)]
+
     def test_engine_has_no_relevance_option(self):
         assert not hasattr(ExecutionEngine(), "relevance")
         with pytest.raises(TypeError):
             ExecutionEngine(relevance=lambda text, target: 0.0)
+
+
+FAULTS = st.one_of(st.just({"fail": True}), st.integers(1, 3).map(lambda n: {"fail_times": n}))
+
+
+@given(
+    dag=st.sampled_from(["diamond", "hierarchical"]),
+    clock=st.sampled_from(["virtual", "wall"]),
+    faults=st.dictionaries(st.sampled_from(["v0", "v1", "v3", "v5", "merge", "arbiter", "lead:assign",
+                                            "lead:reconcile"]), FAULTS, max_size=3),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_ledger_is_the_calls_that_were_made(dag, clock, faults):
+    # ``exec`` on scripted fixtures with drawn failures: ledger.json holds one
+    # entry per call that returned, no more and no fewer, on either clock
+    def entry(out, tag):
+        phase = "synthesize" if tag in ("merge", "arbiter") else "execute"
+        return {"backend": out.backend, "prompt_tokens": out.prompt_tokens,
+                "completion_tokens": out.completion_tokens, "phase": phase}
+
+    made, runs = [], []
+    invoke, real_run_task = ScriptedBackend.invoke, execution.run_task
+
+    def spy(self, instruction, context, *, tag=None):
+        out = invoke(self, instruction, context, tag=tag)
+        made.append(entry(out, tag))
+        return out
+
+    def on_clock(*args, **kwargs):  # ``exec`` runs scripted fixtures on the virtual clock
+        runs.append(real_run_task(*args, **{**kwargs, "clock": clock}))
+        return runs[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ScriptedBackend, "invoke", spy)
+        mp.setattr(execution, "run_task", on_clock)
+        mp.setattr(execution.time, "sleep", lambda seconds: None)  # no wall-clock backoff waits
+        tmp_path = Path(tmp)
+        backend = "scripted:" + write_fixture(tmp_path, **faults)
+        if dag == "diamond":
+            manifest = write_manifest(tmp_path, backend=backend)
+        else:
+            manifest = hierarchical_manifest(tmp_path, backend)
+        assert main(["exec", manifest]) in (0, 4)
+        ledger = json.loads((tmp_path / "out" / "ledger.json").read_text())["entries"]
+    [run] = runs
+    executed = [out for trace in run.traces for out in [*trace.ordered_outputs(), *trace.lead.values()]]
+    expected = [entry(out, "execute") for out in executed]
+    expected += [entry(out, out.subtask_id) for out in run.synthesis_calls]
+    key = lambda e: json.dumps(e, sort_keys=True)
+    if clock == "virtual":
+        assert ledger == expected
+    assert Counter(map(key, ledger)) == Counter(map(key, expected)) == Counter(map(key, made))
