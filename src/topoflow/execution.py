@@ -126,17 +126,25 @@ def merge_context(
     Outputs are ranked by the embedding cosine between their text and the
     target's description, ties by subtask id, and included whole, in rank
     order, until the next one would exceed the token budget (sizes use
-    backend-reported completion token counts).
+    backend-reported completion token counts).  Only an output that shares
+    an index with the target's embedding is scored; any other has cosine
+    exactly 0.0, unless a NaN norm makes it NaN.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if not predecessor_outputs:
         return ""
-    want = embedder.sparse(target.description)
-    ranked = sorted(
-        predecessor_outputs,
-        key=lambda o: (-_sparse_cosine(embedder.sparse(o.text), want), o.subtask_id),
-    )
+    sparse = embedder.sparse
+    want = sparse(target.description)
+    disjoint, nan_want = want.entries.keys().isdisjoint, want.norm != want.norm
+
+    def rank(out: AgentOutput) -> tuple[float, str]:
+        vec = sparse(out.text)
+        if nan_want or not disjoint(vec.entries) or vec.norm != vec.norm:
+            return -_sparse_cosine(vec, want), out.subtask_id
+        return 0.0, out.subtask_id
+
+    ranked = sorted(predecessor_outputs, key=rank)
     parts: list[str] = []
     used = 0
     for out in ranked:

@@ -130,19 +130,48 @@ def _sparse_cosine(a: SparseVector, b: SparseVector) -> float:
 
 
 def consistency_score(outputs: list[str], embedder: Embedder) -> float:
-    """Mean pairwise cosine similarity; a single output is self-consistent (1.0)."""
+    """Mean pairwise cosine similarity; a single output is self-consistent (1.0).
+
+    Bit for bit the mean of :func:`_sparse_cosine` over the pairs in (i, j)
+    order, scoring only the pairs that share an index.  A postings map from
+    each index to the later vectors that have it gives each pair's products
+    in ascending index order, summed as ``_sparse_cosine`` sums them.  A
+    skipped pair would add exactly 0.0, and the running total, starting at
+    0.0, is never -0.0, so skipping it leaves the total as it was.  A NaN
+    norm breaks that, and so is scored pairwise.
+    """
     if not outputs:
         raise ValueError("outputs must be nonempty")
     if len(outputs) == 1:
         return 1.0
     vecs = [embedder.sparse(o) for o in outputs]
+    n = len(vecs)
     total = 0.0
-    pairs = 0
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            total += _sparse_cosine(vecs[i], vecs[j])
-            pairs += 1
-    return total / pairs
+    if any(norm != norm for _, norm in vecs):  # 0 / NaN is NaN, not the 0.0 a skipped pair adds
+        for i in range(n):
+            for j in range(i + 1, n):
+                total += _sparse_cosine(vecs[i], vecs[j])
+        return total / (n * (n - 1) // 2)
+    postings: dict[int, list[tuple[int, float]]] = {}
+    for j, (entries, norm) in enumerate(vecs):
+        if norm:  # a zero norm scores 0.0 with every vector
+            for ix, y in entries.items():
+                postings.setdefault(ix, []).append((j, y))
+    passed = dict.fromkeys(postings, 0)  # per index, the rows that have reached it
+    for i, (entries, norm) in enumerate(vecs):
+        if not norm:
+            continue
+        products: dict[int, list[float]] = {}
+        for ix, x in entries.items():
+            later = passed[ix] = passed[ix] + 1  # past row i's own posting
+            for j, y in postings[ix][later:]:
+                if j in products:
+                    products[j].append(x * y)
+                else:
+                    products[j] = [x * y]
+        for j in sorted(products):
+            total += sum(products[j]) / (norm * vecs[j].norm)
+    return total / (n * (n - 1) // 2)
 
 
 def consistency_of_candidate(candidate: str, originals: list[str], embedder: Embedder) -> float:

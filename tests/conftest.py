@@ -19,6 +19,7 @@ from topoflow.convergence import ARBITRATION_PENALTY, CONTEXT_LOSS_RATE, DEFAULT
 from topoflow.dag import DagIndex, Subtask, TaskDag, ValidationReport, Violation
 from topoflow.metrics import WidthMode, compute_metrics
 from topoflow.routing import TopologyKind
+from topoflow.synthesis import _sparse_cosine
 
 
 def make_dag(n, edges, *, weights=None, couplings=None, default_coupling=0.3):
@@ -452,6 +453,23 @@ class DenseHashedEmbedder:
         return vec
 
 
+def oracle_consistency_score(outputs, embedder):
+    """Reference for ``topoflow.synthesis.consistency_score``: the pairwise
+    loop over ``_sparse_cosine`` that scored every pair, verbatim."""
+    if not outputs:
+        raise ValueError("outputs must be nonempty")
+    if len(outputs) == 1:
+        return 1.0
+    vecs = [embedder.sparse(o) for o in outputs]
+    total = 0.0
+    pairs = 0
+    for i in range(len(vecs)):
+        for j in range(i + 1, len(vecs)):
+            total += _sparse_cosine(vecs[i], vecs[j])
+            pairs += 1
+    return total / pairs
+
+
 def oracle_merge_context(predecessor_outputs, target, budget, relevance):
     """Reference for ``topoflow.execution.merge_context``: the version that
     ranked by a ``relevance(text, target_description)`` callable, verbatim."""
@@ -510,11 +528,14 @@ def validations(monkeypatch):
 @dataclass(frozen=True)
 class Reply:
     """One scripted HTTP reply: its status, its JSON body (a string is sent
-    as is), and whether the server then closes the connection unannounced."""
+    as is), whether the server then closes the connection unannounced, and
+    whether it cuts the body short: it announces the whole body's
+    ``Content-Length``, sends the first half and closes."""
 
     body: object
     status: int = 200
     close: bool = False
+    cut: bool = False
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
@@ -529,8 +550,8 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(data)
-        self.close_connection = reply.close
+        self.wfile.write(data[: len(data) // 2] if reply.cut else data)
+        self.close_connection = reply.close or reply.cut
 
     def log_message(self, format, *args):
         pass

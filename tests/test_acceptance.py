@@ -327,6 +327,20 @@ def test_hybrid_exec_and_consistency_latency():
     assert elapsed < 2.0, f"400-vertex hybrid exec and consistency took {elapsed:.2f}s"
 
 
+def test_consistency_of_many_mock_outputs_latency():
+    # beside the 400-vertex gate: 1,600 mock-shaped outputs, every pair of
+    # which shares the index of "result", so all 1,279,200 pairs are scored;
+    # the score (taken from the pairwise loop over every pair) holds bit for bit
+    pool = [MockBackend(f"mock{i}") for i in range(3)]
+    texts = [pool[i % 3].invoke(f"subtask {i}", "gate").text for i in range(1600)]
+    t0 = time.perf_counter()
+    score = consistency_score(texts, HashedEmbedder())
+    elapsed = time.perf_counter() - t0
+    print(f"\nconsistency of 1,600 mock outputs: {elapsed:.2f} s (< 2 s)")
+    assert repr(score) == "0.4487072183051065"
+    assert elapsed < 2.0, f"consistency of 1,600 mock outputs took {elapsed:.2f}s"
+
+
 # -- 8: cost accounting exact to the micro-dollar ------------------------------
 
 def test_criterion_8_cost_exactness():

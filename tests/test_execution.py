@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topoflow.accounting import CostLedger, Phase
 from topoflow.backends import AgentOutput, BackendError, HttpChatBackend, MockBackend, ScriptedBackend
 from topoflow.cli import main
 from topoflow import execution, runlog
@@ -448,6 +449,96 @@ class TestLoopback:
                 gc.collect()
         assert 1 <= min(opened) and max(opened) <= 3
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestLoopbackFailures:
+    """Retry and failure on the live path: ``run_task`` on the wall clock
+    against a real server on 127.0.0.1."""
+
+    @pytest.fixture(autouse=True)
+    def fast_retries(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        monkeypatch.setattr(execution, "BACKOFF_BASE", 0.001)
+
+    @staticmethod
+    def by_prompt(replies):
+        """A script that gives the n-th request of each prompt ``replies(prompt, n)``."""
+        seen, lock = Counter(), threading.Lock()
+
+        def script(_, request):
+            prompt = request["messages"][0]["content"]
+            with lock:
+                n = seen[prompt]
+                seen[prompt] += 1
+            return replies(prompt, n)
+
+        return script
+
+    @staticmethod
+    def ledger_of(run):
+        """The ledger that ``topoflow exec`` records for ``run``."""
+        ledger = CostLedger()
+        for trace in run.traces:
+            for out in [*trace.ordered_outputs(), *trace.lead.values()]:
+                ledger.record(out, Phase.EXECUTE)
+        for call in run.synthesis_calls:
+            ledger.record(call, Phase.SYNTHESIZE)
+        return ledger
+
+    def test_429_and_503_are_retried_then_served(self, loopback):
+        served = []
+
+        def replies(prompt, n):
+            if n < 2:
+                return Reply({"error": "busy"}, status=(429, 503)[n])
+            served.append(prompt)
+            return Reply(OK_BODY)
+
+        server = loopback(self.by_prompt(replies))
+        run = run_task(make_dag(4, []), [loopback_backend(server)], concurrency=3, clock="wall")
+        # four vertices and the merge call, each refused twice, then served
+        assert run.failure is None and run.result.path.value == "merge"
+        assert server.requests == 3 * len(served) == 15
+        ledger = self.ledger_of(run)
+        assert len(ledger.entries) == len(served)
+        assert [e.phase for e in ledger.entries] == [Phase.EXECUTE] * 4 + [Phase.SYNTHESIZE]
+        # a retried call carries its backoff: 0.001 s, then 0.002 s
+        assert all(out.latency >= 0.003 for out in run.traces[0].outputs.values())
+
+    def test_400_fails_the_run_and_keeps_the_partial_trace(self, loopback):
+        refused = []
+
+        def replies(prompt, n):
+            if prompt.startswith("subtask 2"):
+                refused.append(n)
+                return Reply({"error": {"message": "bad request"}}, status=400)
+            return Reply(OK_BODY)
+
+        server = loopback(self.by_prompt(replies))
+        run = run_task(make_dag(4, []), [loopback_backend(server)], concurrency=3, clock="wall")
+        assert run.failure == "execute: failed vertices ['v2']" and run.result is None
+        [trace] = run.traces
+        assert trace.failures["v2"].startswith("openai:gpt-4o-mini: HTTP 400: ")
+        assert "bad request" in trace.failures["v2"]
+        assert sorted(trace.outputs) == ["v0", "v1", "v3"]
+        assert refused == [0]  # a 400 is not retried
+        assert len(self.ledger_of(run).entries) == server.requests - 1 == 3
+
+    def test_a_body_cut_short_is_transient(self, loopback):
+        server = loopback(lambda n, request: Reply(OK_BODY, cut=n == 0))
+        backend = loopback_backend(server)
+        with pytest.raises(BackendError, match="request failed") as ei:
+            backend.invoke("a", "")
+        assert ei.value.transient
+        assert backend.invoke("b", "").text == "ok"  # on a new connection
+        assert (server.connections, server.requests) == (2, 2)
+        backend.close()
+
+    def test_a_run_retries_a_body_cut_short(self, loopback):
+        server = loopback(self.by_prompt(lambda prompt, n: Reply(OK_BODY, cut=n == 0)))
+        run = run_task(make_dag(4, []), [loopback_backend(server)], concurrency=3, clock="wall")
+        assert run.failure is None and run.result.path.value == "merge"
+        assert server.requests == 10 and len(self.ledger_of(run).entries) == 5
 
 
 class TestAssignAgents:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoflow import synthesis
+from topoflow import execution, synthesis
 from topoflow.backends import AgentOutput, ScriptedBackend
 from topoflow.dag import Subtask
 from topoflow.execution import merge_context
@@ -29,7 +29,7 @@ from topoflow.synthesis import (
     synthesize,
 )
 
-from conftest import DenseHashedEmbedder, oracle_merge_context
+from conftest import DenseHashedEmbedder, oracle_consistency_score, oracle_merge_context
 
 PARALLEL = TopologyKind.PARALLEL
 SEQUENTIAL = TopologyKind.SEQUENTIAL
@@ -213,6 +213,98 @@ class TestSparseExactness:
             emb.sparse(text)
         # the memo evicts the least recently used text: "b", which "c" replaces, not "a"
         assert texts == ["a", "b", "c"]
+
+
+def outcome(f, *args):
+    """The ``repr`` of ``f(*args)``, or the type of the exception it raised."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # noqa: BLE001 -- the type is the outcome
+        return type(exc)
+
+
+def outputs_named(texts):
+    return [
+        AgentOutput(text=t, prompt_tokens=1, completion_tokens=1, latency=0.1, backend="m", subtask_id=f"v{i}")
+        for i, t in enumerate(texts)
+    ]
+
+
+# texts drawn from a pool of a few, so that many repeat, over tokens that
+# most of them share; the empty text included
+SHARED_TEXTS = st.lists(
+    st.lists(st.sampled_from(["red", "RED", "fox", "sky", "result", "[mock0]", "[mock1]", "x1", "x2", "a", "b", "c"]),
+             max_size=6).map(" ".join),
+    min_size=1, max_size=12,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+def signed(magnitudes):
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitudes).map(lambda t: t[0] * t[1])
+
+
+ORDINARY_ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(min_value=-1e3, max_value=1e3))
+EDGE_ENTRY = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    signed(st.floats(min_value=1e-162, max_value=1e-158)),  # squares subnormal or zero
+    signed(st.floats(min_value=1e198, max_value=1e202)),  # squares infinite
+)
+
+
+def edge_vectors(dim):
+    # mostly ordinary vectors, a zero half the time so that some pairs share
+    # no index, and now and then an edge value
+    entry = st.one_of(st.just(0.0), ORDINARY_ENTRY, st.just(0.0), ORDINARY_ENTRY, st.just(0.0), EDGE_ENTRY)
+    return st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=2, max_size=12)
+
+
+class TestSharedIndexScoring:
+    """Scoring only the pairs that share an index gives the floats, the
+    exceptions and the rankings of scoring every pair."""
+
+    @given(st.integers(min_value=1, max_value=256), SHARED_TEXTS, SHARED_TEXTS.map(lambda ts: ts[0]))
+    @settings(max_examples=200, deadline=None)
+    def test_hashed_scores_match_every_pair(self, dim, texts, description):
+        emb = HashedEmbedder(dim)
+        assert outcome(consistency_score, texts, emb) == outcome(oracle_consistency_score, texts, emb)
+        outputs, target = outputs_named(texts), Subtask("t", description=description)
+        assert merge_context(outputs, target, 10**6, emb) == oracle_merge_context(
+            outputs, target, 10**6, sparse_relevance(emb)
+        )
+
+    @given(st.integers(min_value=1, max_value=8).flatmap(edge_vectors), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_fixture_edge_values_match_every_pair(self, vectors, rnd):
+        names = [f"t{i}" for i in range(len(vectors))]
+        emb = FixtureEmbedder(dict(zip(names, vectors)))
+        texts = names[1:] + [rnd.choice(names) for _ in range(3)]
+        assert outcome(consistency_score, texts, emb) == outcome(oracle_consistency_score, texts, emb)
+        outputs, target = outputs_named(texts), Subtask("t", description=names[0])
+        budget = rnd.randint(1, len(texts))
+        assert outcome(merge_context, outputs, target, budget, emb) == outcome(
+            oracle_merge_context, outputs, target, budget, sparse_relevance(emb)
+        )
+
+    def test_nan_norm_is_scored_pairwise(self):
+        emb = FixtureEmbedder({"a": [1.0, 0.0], "b": [0.0, 1.0], "n": [0.0, math.nan]})
+        # "a" shares no index with "n", yet their cosine is 0 / NaN
+        assert math.isnan(consistency_score(["a", "n"], emb))
+        outputs = outputs_named(["b", "n", "a"])
+        assert merge_context(outputs, Subtask("t", description="a"), 10, emb) == oracle_merge_context(
+            outputs, Subtask("t", description="a"), 10, sparse_relevance(emb)
+        )
+
+    def test_merge_context_scores_only_outputs_sharing_an_index(self, monkeypatch):
+        emb = FixtureEmbedder({"t": [1.0, 0.0, 0.0], "a": [2.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0],
+                               "c": [0.0, 0.0, 1.0], "d": [1.0, 1.0, 0.0]})
+        scored = []
+        monkeypatch.setattr(execution, "_sparse_cosine",
+                            lambda a, b: scored.append(a) or synthesis._sparse_cosine(a, b))
+        outputs = outputs_named(["b", "a", "c", "d"])
+        merged = merge_context(outputs, Subtask("t", description="t"), 10, emb)
+        assert scored == [emb.sparse("a"), emb.sparse("d")]
+        assert merged == oracle_merge_context(outputs, Subtask("t", description="t"), 10, sparse_relevance(emb))
+        assert merged.split("\n\n")[0] == "## v1\na"  # v0 ("b") and v2 ("c") tie at 0.0, after v1 and v3
 
 
 class TestIterationBound:
